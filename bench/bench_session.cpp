@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/rng.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
@@ -82,12 +83,12 @@ void BM_CheckpointSave(benchmark::State& state) {
   Rng rng(3);
   ad::AdaptStats stats;
   sess.resume(rng, stats);  // adapt() always resumes first; creates the dir
-  const auto fails_before = netllm::core::counter_value("session.checkpoint_failures");
+  const auto fails_before = netllm::core::metrics::counter("session.checkpoint_failures").value();
   int step = 0;
   for (auto _ : state) {
     sess.after_step(step++, rng, stats);
   }
-  if (netllm::core::counter_value("session.checkpoint_failures") != fails_before) {
+  if (netllm::core::metrics::counter("session.checkpoint_failures").value() != fails_before) {
     state.SkipWithError("checkpoint writes failed");
   }
   state.counters["params"] = static_cast<double>(param_scalars(params));

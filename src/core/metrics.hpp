@@ -16,10 +16,6 @@
 // values because nothing was recorded. Instrumentation never touches RNG
 // streams or float math, so enabling metrics cannot perturb the bitwise
 // determinism contracts of §8–§10 (also pinned by test_observability).
-//
-// The legacy `core::counter_add` string API (stats.hpp) is a thin shim over
-// this registry: both views share storage, so `counter("x").add()` is
-// visible through `counter_value("x")` and vice versa.
 #pragma once
 
 #include <atomic>

@@ -1,15 +1,10 @@
 // Small descriptive-statistics helpers used by the evaluation harness:
 // means, percentiles, CDF sampling, five-number box summaries and min-max
 // normalisation (the paper normalises QoE factor breakdowns via min-max).
-// Also hosts the process-wide named-counter registry that the fault-tolerance
-// layer (guarded inference, training resilience) reports through, so benches
-// can print fallback/skip rates without plumbing stats objects around.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,19 +37,5 @@ double improvement_pct(double ours, double theirs);
 /// Relative reduction achieved by `ours` vs `theirs` for a lower-is-better
 /// metric, in percent: 100 * (theirs - ours) / |theirs|.
 double reduction_pct(double ours, double theirs);
-
-// ---- named counters (legacy shim) ----
-// Process-wide, thread-safe event counters (e.g. "guard.abr.fallback",
-// "adapt.skipped_steps"). Counting an unknown name creates it at zero.
-// Backed by the core::metrics registry (metrics.hpp) since DESIGN.md §11:
-// each call resolves the name under the registry lock, then bumps the same
-// lock-free sharded slot a pre-registered `metrics::Counter` handle uses.
-// New hot-path call sites should hold a handle instead of calling these.
-
-void counter_add(const std::string& name, std::int64_t delta = 1);
-std::int64_t counter_value(const std::string& name);
-/// All counters, sorted by name — for bench reports.
-std::vector<std::pair<std::string, std::int64_t>> counters_snapshot();
-void counters_reset();
 
 }  // namespace netllm::core

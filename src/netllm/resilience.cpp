@@ -5,9 +5,24 @@
 #include <stdexcept>
 
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 
 namespace netllm::adapt {
+
+namespace {
+
+/// Training-resilience event counters, registered on first use.
+struct ResilienceMetrics {
+  core::metrics::Counter& restores = core::metrics::counter("adapt.restores");
+  core::metrics::Counter& skipped_steps = core::metrics::counter("adapt.skipped_steps");
+};
+
+ResilienceMetrics& resilience_metrics() {
+  static ResilienceMetrics m;
+  return m;
+}
+
+}  // namespace
 
 TrainGuard::TrainGuard(std::vector<tensor::Tensor> params, int snapshot_every)
     : params_(std::move(params)), snapshot_every_(snapshot_every < 1 ? 1 : snapshot_every) {
@@ -30,7 +45,7 @@ void TrainGuard::restore() {
     std::copy(good_[i].begin(), good_[i].end(), dst.begin());
   }
   ++restores_;
-  core::counter_add("adapt.restores");
+  resilience_metrics().restores.add();
 }
 
 bool TrainGuard::params_finite() const {
@@ -45,7 +60,7 @@ bool TrainGuard::params_finite() const {
 bool TrainGuard::loss_ok(float loss_value) {
   if (std::isfinite(loss_value)) return true;
   ++skipped_;
-  core::counter_add("adapt.skipped_steps");
+  resilience_metrics().skipped_steps.add();
   return false;
 }
 
@@ -54,7 +69,7 @@ bool TrainGuard::grads_ok() {
     for (float g : p.grad()) {
       if (!std::isfinite(g)) {
         ++skipped_;
-        core::counter_add("adapt.skipped_steps");
+        resilience_metrics().skipped_steps.add();
         return false;
       }
     }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "baselines/abr/rule_based.hpp"
@@ -19,20 +17,10 @@
 #include "core/trace.hpp"
 #include "netllm/abr_adapter.hpp"
 #include "netllm/cjs_adapter.hpp"
-#include "netllm/shard.hpp"
 #include "netllm/vp_adapter.hpp"
 #include "nn/kv_arena.hpp"
 
 namespace netllm::serve {
-
-const char* source_name(Source s) {
-  switch (s) {
-    case Source::kLlm: return "llm";
-    case Source::kFallback: return "fallback";
-    case Source::kRetried: return "retried";
-    default: return "shed";
-  }
-}
 
 namespace {
 
@@ -62,6 +50,16 @@ double next_backoff_ms(const EngineConfig& cfg, core::Rng& rng, int attempt) {
   return cfg.retry_backoff_ms * static_cast<double>(std::int64_t{1} << doublings) * jitter;
 }
 
+/// The guard settings of one task; metrics go under <counter_prefix><task>.
+adapt::GuardConfig guard_config(const EngineConfig& cfg, const char* task) {
+  adapt::GuardConfig g;
+  g.latency_budget_ms = cfg.latency_budget_ms;
+  g.breaker_threshold = cfg.breaker_threshold;
+  g.breaker_cooldown = cfg.breaker_cooldown;
+  if (!cfg.counter_prefix.empty()) g.counter_prefix = cfg.counter_prefix + task + ".";
+  return g;
+}
+
 }  // namespace
 
 double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int attempt) {
@@ -85,7 +83,10 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
       abr_fallback_(abr_fallback ? std::move(abr_fallback) : std::make_shared<baselines::Bba>()),
       cjs_policy_(std::move(cjs_policy)),
       cjs_fallback_(cjs_fallback ? std::move(cjs_fallback)
-                                 : std::make_shared<baselines::FifoScheduler>()) {
+                                 : std::make_shared<baselines::FifoScheduler>()),
+      vp_guard_(guard_config(cfg_, "vp")),
+      abr_guard_(guard_config(cfg_, "abr")),
+      cjs_guard_(guard_config(cfg_, "cjs")) {
   if (!vp_model_ && !abr_policy_ && !cjs_policy_) {
     throw std::invalid_argument("InferenceEngine: need at least one model");
   }
@@ -114,13 +115,8 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
   }
   // Block-quantized backbone (DESIGN.md §15): quantize every adapter
   // primary's projection weights at the configured dtype. Non-adapter
-  // predictors are opaque and stay untouched. Sharding owns fp32 column
-  // shards of the masters, so the two modes cannot compose.
+  // predictors are opaque and stay untouched.
   if (cfg_.backbone_dtype != tensor::quant::Dtype::kF32) {
-    if (cfg_.shards > 0) {
-      throw std::invalid_argument(
-          "InferenceEngine: backbone_dtype requires fp32 weights when shards > 0");
-    }
     if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
       adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
     }
@@ -131,209 +127,50 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
       adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
     }
   }
-  // Sharded tensor-parallel backbone (DESIGN.md §14): with `shards` set and
-  // a VpAdapter primary, spawn the worker fleet and route every backbone
-  // matmul through it. The group attaches its own offload hooks; decisions
-  // stay bitwise-equal to single-process serving.
-  if (cfg_.shards > 0) {
-    if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
-      shard::ShardConfig scfg;
-      scfg.workers = cfg_.shards;
-      scfg.worker_exe = cfg_.shard_worker_exe;
-      scfg.rpc_deadline_ms = cfg_.shard_rpc_deadline_ms;
-      scfg.backoff_base_ms = cfg_.shard_backoff_ms;
-      scfg.backoff_seed = cfg_.shard_seed;
-      shard_group_ = std::make_shared<shard::ShardGroup>(adapter->llm_shared(), scfg);
-    }
-  }
 }
 
 InferenceEngine::TaskMetrics InferenceEngine::make_task_metrics(const char* task) const {
   TaskMetrics m;
   if (cfg_.counter_prefix.empty()) return m;  // metrics opted out for this engine
   const std::string base = cfg_.counter_prefix + task + ".";
-  m.llm_ok = &core::metrics::counter(base + "llm_ok");
-  m.fallback = &core::metrics::counter(base + "fallback");
-  m.fail_exception = &core::metrics::counter(base + "fail.exception");
-  m.fail_invalid = &core::metrics::counter(base + "fail.invalid");
-  m.fail_latency = &core::metrics::counter(base + "fail.latency");
-  m.breaker_trips = &core::metrics::counter(base + "breaker.trips");
-  m.retries = &core::metrics::counter(base + "retry");
-  m.shed = &core::metrics::counter(base + "shed");
   m.slo_miss = &core::metrics::counter(base + "slo_miss");
   m.rejected = &core::metrics::counter(base + "rejected");
-  m.health = &core::metrics::gauge(base + "health");
   m.queue_wait_ms = &core::metrics::histogram(base + "queue_wait_ms");
   m.compute_ms = &core::metrics::histogram(base + "compute_ms");
   return m;
 }
 
-void InferenceEngine::set_health(Guard& g, TaskMetrics& m, adapt::Health h) {
-  if (g.health == h) return;
-  g.health = h;
-  if (m.health) m.health->set(static_cast<double>(static_cast<int>(h)));
-}
-
 template <typename Action, typename Primary, typename Validate, typename Fallback>
-Action InferenceEngine::decide(Guard& g, TaskMetrics& m, Primary&& primary, Validate&& valid,
+Action InferenceEngine::decide(adapt::GuardEngine& guard, Primary&& primary, Validate&& valid,
                                Fallback&& fallback, ResponseMeta& meta, const DecideCtx& ctx) {
-  if (ctx.shed) {
-    // Overload shedding (queue overflow victim, admission deadline already
-    // missed, or shutdown drain): straight to the fallback, zero primary
-    // compute. Shedding is load-induced, not a model failure — it leaves the
-    // breaker and health state untouched.
-    {
-      core::trace::Span span(core::trace::Phase::kGuard);
-      std::lock_guard<std::mutex> lock(g.mu);
-      ++g.counters.shed;
-    }
-    if (m.shed) m.shed->add();
-    meta.source = Source::kShed;
-    return fallback();
-  }
-  bool cooling = false;
-  {
-    core::trace::Span span(core::trace::Phase::kGuard);
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.cooldown_left > 0) {
-      --g.cooldown_left;
-      ++g.counters.fallback;
-      if (m.fallback) m.fallback->add();
-      cooling = true;
-    }
-  }
-  if (cooling) {
-    // The fallback executes OUTSIDE g.mu: a slow (or stateful, or throwing)
-    // fallback must not serialize every other request's guard bookkeeping.
-    meta.source = Source::kFallback;
-    return fallback();
-  }
-  enum class Fail { kNone, kException, kInvalid, kLatency, kArena };
-  // Caller holds g.mu. Attributes one failed attempt to its failure class.
-  auto bump_fail = [&](Fail f) {
-    switch (f) {
-      case Fail::kException:
-        ++g.counters.fail_exception;
-        if (m.fail_exception) m.fail_exception->add();
-        break;
-      case Fail::kInvalid:
-        ++g.counters.fail_invalid;
-        if (m.fail_invalid) m.fail_invalid->add();
-        break;
-      default:
-        ++g.counters.fail_latency;
-        if (m.fail_latency) m.fail_latency->add();
-        break;
-    }
-  };
-  Fail fail = Fail::kNone;
-  Action action{};
   const int max_attempts = 1 + std::max(0, cfg_.retry_budget);
   // Private deterministic jitter stream: seeded from the request's identity,
   // so the backoff sequence is the same in every run at any NETLLM_THREADS.
   core::Rng retry_rng(cfg_.retry_seed ^ ctx.retry_key);
-  int retries = 0;
-  for (;;) {
-    fail = Fail::kNone;
-    // The latency budget is enforced on the primary model call below — never
-    // on time spent waiting for a policy mutex (reported as queue_wait_ms by
-    // the caller). A contended-but-fast request must not trip the breaker.
-    core::Timer timer;
-    try {
-      // The injection site fires inside the guarded region: an armed
-      // `serve.batch` plan (throw / delay past the budget) is handled exactly
-      // like an organic LLM-path failure — this one request falls back.
-      core::fault::check("serve.batch");
-      action = primary();
-      if (cfg_.latency_budget_ms > 0.0 && timer.elapsed_ms() > cfg_.latency_budget_ms) {
-        fail = Fail::kLatency;
-      } else if (!valid(action)) {
-        fail = Fail::kInvalid;
-      }
-    } catch (const nn::KvArena::Exhausted&) {
-      // The KV page budget cannot fund this request right now. That is load,
-      // not a model failure: shed to the fallback below without feeding the
-      // breaker or the health state, exactly like an admission shed.
-      fail = Fail::kArena;
-    } catch (const shard::WorkerDown&) {
-      // A tensor-parallel worker is dead or still in its reconnect backoff
-      // (DESIGN.md §14). Infrastructure loss, not a model failure: shed to
-      // the fallback exactly like arena exhaustion — no breaker, no health
-      // pollution — and the heartbeat's respawn restores primary serving.
-      fail = Fail::kArena;
-    } catch (const std::exception&) {
-      fail = Fail::kException;
-    } catch (...) {
-      // A primary throwing something not derived from std::exception (an int,
-      // a bespoke error type from a plugged-in model) must degrade this one
-      // request, not escape into parallel_for and poison the whole batch.
-      fail = Fail::kException;
-    }
-    if (fail == Fail::kNone || fail == Fail::kArena) break;
-    // Only transient classes retry (throws — FaultInjected, I/O errors — and
-    // invalid output). A latency overrun never does: re-running a slow
-    // primary under load amplifies exactly the overload the budget contains.
-    if (fail == Fail::kLatency || retries + 1 >= max_attempts) break;
+  const auto retry = [&](int attempt) {
+    if (attempt >= max_attempts) return -1.0;
     // Deadline-aware: when the end-to-end SLO is already blown there is no
     // point burning another attempt — degrade to the fallback now.
     if (cfg_.deadline_ms > 0.0 && ms_between(ctx.admitted, Clock::now()) >= cfg_.deadline_ms) {
-      break;
+      return -1.0;
     }
-    ++retries;
-    {
-      core::trace::Span span(core::trace::Phase::kGuard);
-      std::lock_guard<std::mutex> lock(g.mu);
-      bump_fail(fail);  // the attempt's failure is real telemetry either way
-      ++g.counters.retries;
-      if (m.retries) m.retries->add();
-      // A retry in flight means the task is not clean: Degraded until a
-      // first-try success, Open only via the breaker below.
-      set_health(g, m, adapt::Health::kDegraded);
-    }
-    const double backoff = next_backoff_ms(cfg_, retry_rng, retries);
-    if (backoff > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff));
-    }
-  }
-  meta.retries = retries;
-  if (fail == Fail::kArena) {
-    {
-      core::trace::Span span(core::trace::Phase::kGuard);
-      std::lock_guard<std::mutex> lock(g.mu);
-      ++g.counters.shed;
-    }
-    if (m.shed) m.shed->add();
-    meta.source = Source::kShed;
-    return fallback();
-  }
-  {
-    core::trace::Span span(core::trace::Phase::kGuard);
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (fail == Fail::kNone) {
-      g.consecutive_failures = 0;
-      ++g.counters.llm_ok;
-      if (m.llm_ok) m.llm_ok->add();
-      // A retried success proves the primary answers, but not cleanly.
-      set_health(g, m, retries > 0 ? adapt::Health::kDegraded : adapt::Health::kHealthy);
-      meta.source = retries > 0 ? Source::kRetried : Source::kLlm;
-      return action;
-    }
-    bump_fail(fail);
-    if (++g.consecutive_failures >= cfg_.breaker_threshold) {
-      g.consecutive_failures = 0;
-      g.cooldown_left = cfg_.breaker_cooldown;
-      ++g.counters.breaker_trips;
-      if (m.breaker_trips) m.breaker_trips->add();
-      set_health(g, m, adapt::Health::kOpen);
-    } else {
-      set_health(g, m, adapt::Health::kDegraded);
-    }
-    ++g.counters.fallback;
-    if (m.fallback) m.fallback->add();
-  }
-  // As above: the failure-path fallback also runs outside g.mu.
-  meta.source = Source::kFallback;
-  return fallback();
+    return next_backoff_ms(cfg_, retry_rng, attempt);
+  };
+  adapt::Decision decision;
+  Action action = guard.decide<Action>(
+      [&] {
+        // The injection site fires inside the guarded region: an armed
+        // `serve.batch` plan (throw / delay past the budget) is handled
+        // exactly like an organic LLM-path failure — this one request falls
+        // back. The latency budget covers this call only, never the policy
+        // mutex wait the caller reports as queue_wait_ms.
+        core::fault::check("serve.batch");
+        return primary();
+      },
+      valid, fallback, ctx.shed, retry, decision);
+  meta.source = decision.source;
+  meta.retries = decision.retries;
+  return action;
 }
 
 std::size_t InferenceEngine::unshed_pending_locked() const {
@@ -528,17 +365,8 @@ VpResponse InferenceEngine::serve_vp(const Queued<VpRequest>& q, std::uint64_t e
   const DecideCtx ctx = start_request(q.admitted, q.shed, 0, epoch, index, resp.meta);
   core::Timer timer;
   resp.viewports = decide<std::vector<vp::Viewport>>(
-      vp_guard_, vp_metrics_,
-      [&] { return vp_model_->predict(req.history, req.saliency, req.horizon); },
-      [&](const std::vector<vp::Viewport>& out) {
-        if (out.size() != static_cast<std::size_t>(req.horizon)) return false;
-        for (const auto& v : out) {
-          if (!std::isfinite(v.roll) || !std::isfinite(v.pitch) || !std::isfinite(v.yaw)) {
-            return false;
-          }
-        }
-        return true;
-      },
+      vp_guard_, [&] { return vp_model_->predict(req.history, req.saliency, req.horizon); },
+      [&](const std::vector<vp::Viewport>& out) { return adapt::valid_viewports(out, req.horizon); },
       [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, resp.meta,
       ctx);
   // VP predictors are stateless — no policy mutex, so the whole request is
@@ -561,8 +389,8 @@ AbrResponse InferenceEngine::serve_abr(const Queued<AbrRequest>& q, std::uint64_
   resp.meta.queue_wait_ms = timer.elapsed_ms();
   core::Timer compute;
   resp.level = decide<int>(
-      abr_guard_, abr_metrics_, [&] { return abr_policy_->choose_level(req.obs); },
-      [&](int level) { return level >= 0 && level < req.obs.num_levels; },
+      abr_guard_, [&] { return abr_policy_->choose_level(req.obs); },
+      [&](int level) { return adapt::valid_level(level, req.obs); },
       [&] { return abr_fallback_->choose_level(req.obs); }, resp.meta, ctx);
   resp.meta.compute_ms = compute.elapsed_ms();
   resp.meta.latency_ms = timer.elapsed_ms();
@@ -580,12 +408,8 @@ CjsResponse InferenceEngine::serve_cjs(const Queued<CjsRequest>& q, std::uint64_
   resp.meta.queue_wait_ms = timer.elapsed_ms();
   core::Timer compute;
   resp.action = decide<cjs::SchedAction>(
-      cjs_guard_, cjs_metrics_, [&] { return cjs_policy_->choose(req.obs); },
-      [&](const cjs::SchedAction& a) {
-        return a.runnable_index >= 0 &&
-               a.runnable_index < static_cast<int>(req.obs.runnable_rows.size()) &&
-               a.cap_choice >= 0 && a.cap_choice < cjs::kNumCapChoices;
-      },
+      cjs_guard_, [&] { return cjs_policy_->choose(req.obs); },
+      [&](const cjs::SchedAction& a) { return adapt::valid_action(a, req.obs); },
       [&] { return cjs_fallback_->choose(req.obs); }, resp.meta, ctx);
   resp.meta.compute_ms = compute.elapsed_ms();
   resp.meta.latency_ms = timer.elapsed_ms();
@@ -594,9 +418,6 @@ CjsResponse InferenceEngine::serve_cjs(const Queued<CjsRequest>& q, std::uint64_
 }
 
 BatchReport InferenceEngine::run() {
-  // Worker-fleet upkeep rides the drain loop: ping for death detection,
-  // respawn workers whose backoff window passed (rate-limited internally).
-  if (shard_group_) shard_group_->heartbeat();
   std::vector<Queued<VpRequest>> vp_jobs;
   std::vector<Queued<AbrRequest>> abr_jobs;
   std::vector<Queued<CjsRequest>> cjs_jobs;
@@ -760,34 +581,14 @@ void InferenceEngine::observe_cjs_reward(double reward) {
 }
 
 adapt::GuardCounters InferenceEngine::counters() const {
-  adapt::GuardCounters total;
-  for (const Guard* g : {&vp_guard_, &abr_guard_, &cjs_guard_}) {
-    std::lock_guard<std::mutex> lock(g->mu);
-    total.llm_ok += g->counters.llm_ok;
-    total.fallback += g->counters.fallback;
-    total.fail_exception += g->counters.fail_exception;
-    total.fail_invalid += g->counters.fail_invalid;
-    total.fail_latency += g->counters.fail_latency;
-    total.breaker_trips += g->counters.breaker_trips;
-    total.retries += g->counters.retries;
-    total.shed += g->counters.shed;
-  }
+  adapt::GuardCounters total = vp_guard_.counters();
+  total += abr_guard_.counters();
+  total += cjs_guard_.counters();
   return total;
 }
 
-adapt::Health InferenceEngine::vp_health() const {
-  std::lock_guard<std::mutex> lock(vp_guard_.mu);
-  return vp_guard_.health;
-}
-
-adapt::Health InferenceEngine::abr_health() const {
-  std::lock_guard<std::mutex> lock(abr_guard_.mu);
-  return abr_guard_.health;
-}
-
-adapt::Health InferenceEngine::cjs_health() const {
-  std::lock_guard<std::mutex> lock(cjs_guard_.mu);
-  return cjs_guard_.health;
-}
+adapt::Health InferenceEngine::vp_health() const { return vp_guard_.health(); }
+adapt::Health InferenceEngine::abr_health() const { return abr_guard_.health(); }
+adapt::Health InferenceEngine::cjs_health() const { return cjs_guard_.health(); }
 
 }  // namespace netllm::serve

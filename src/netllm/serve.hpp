@@ -1,9 +1,10 @@
 // Batched inference front end (DESIGN.md §10, §12): queue VP/ABR/CJS
 // embedding-path requests, drain them concurrently over the shared
-// `core::ThreadPool`, and guard every request individually with the
-// latency-budget / validity / circuit-breaker rules from `netllm/guarded`
-// plus a rule-based fallback (LR / BBA / FIFO) — one poisoned or faulted
-// request degrades to its fallback without touching the rest of the batch.
+// `core::ThreadPool`, and guard every request individually through one
+// `adapt::GuardEngine` per task (netllm/guarded: latency budget, validity,
+// circuit breaker) plus a rule-based fallback (LR / BBA / FIFO) — one
+// poisoned or faulted request degrades to its fallback without touching the
+// rest of the batch.
 //
 // The engine-level overload layer (DESIGN.md §12) sits in front of that
 // per-request guard: a bounded admission queue with a configurable full-queue
@@ -40,23 +41,11 @@ namespace netllm::nn {
 class KvArena;
 }
 
-namespace netllm::shard {
-class ShardGroup;
-}
-
 namespace netllm::serve {
 
-/// Which path produced a response.
-enum class Source {
-  kLlm,       // primary model, first attempt
-  kFallback,  // rule-based fallback after failure or while the breaker is open
-  kRetried,   // primary model, after >= 1 transient-failure retry
-  kShed,      // fallback without touching the primary: queue overflow victim,
-              // admission deadline already missed, or shutdown drain
-};
-
-/// Stable lowercase name ("llm" / "fallback" / "retried" / "shed").
-const char* source_name(Source s);
+/// Which path produced a response (see adapt::Source).
+using adapt::Source;
+using adapt::source_name;
 
 struct ResponseMeta {
   Source source = Source::kFallback;
@@ -161,7 +150,7 @@ struct BatchReport {
 };
 
 struct EngineConfig {
-  double latency_budget_ms = 0.0;       // 0 = no deadline (as GuardConfig)
+  double latency_budget_ms = 0.0;       // per primary call; 0 = no budget
   int breaker_threshold = 3;            // consecutive failures opening the breaker
   int breaker_cooldown = 8;             // requests served by fallback while open
   std::string counter_prefix = "serve.";  // metric namespace; empty disables
@@ -196,25 +185,10 @@ struct EngineConfig {
   std::int64_t arena_page_rows = 16;
   std::size_t arena_prefix_entries = 32;  // warm prompt-skeleton slots; 0 = no sharing
 
-  // ---- sharded tensor-parallel backbone (DESIGN.md §14) ----
-  // With `shards > 0` and a VpAdapter primary, the engine spawns that many
-  // local worker processes owning column shards of the backbone projection
-  // weights; backbone matmuls fan out over loopback TCP and the decisions
-  // stay bitwise-equal to single-process. A dead worker degrades requests
-  // to the fallback (`Source::kShed`, no breaker/health effect) until the
-  // heartbeat respawns it. 0 disables sharding entirely.
-  int shards = 0;
-  double shard_rpc_deadline_ms = 2000.0;     // per matmul fan-out round
-  double shard_backoff_ms = 25.0;            // worker respawn backoff base
-  std::uint64_t shard_seed = 0x5eedbaccULL;  // seeds the backoff jitter
-  std::string shard_worker_exe;  // empty -> $NETLLM_SHARD_WORKER
-
   // ---- block-quantized backbone (DESIGN.md §15) ----
   // Weight dtype for every adapter primary's backbone projections: kQ8_0 /
   // kQ4_0 cut the resident weight bytes ~4x / ~7x and serve decode through
   // the integer-dot kernels; LoRA deltas, heads and checkpoints stay fp32.
-  // Incompatible with `shards > 0` (workers own fp32 column shards) — the
-  // constructor throws rather than silently serving mixed dtypes.
   tensor::quant::Dtype backbone_dtype = tensor::quant::Dtype::kF32;
 };
 
@@ -300,9 +274,6 @@ class InferenceEngine {
   /// The pooled KV arena injected into a VpAdapter primary (DESIGN.md §13);
   /// null when `arena_pages` is 0 or the VP model is not a VpAdapter.
   const std::shared_ptr<nn::KvArena>& kv_arena() const { return arena_; }
-  /// The tensor-parallel worker fleet (DESIGN.md §14); null when
-  /// `shards` is 0 or the VP model is not a VpAdapter.
-  const std::shared_ptr<shard::ShardGroup>& shard_group() const { return shard_group_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -325,42 +296,23 @@ class InferenceEngine {
     bool shed = false;
     std::uint64_t retry_key = 0;
   };
-  /// Thread-safe port of GuardEngine's budget/validity/breaker state: the
-  /// primary AND the fallback run outside the lock; only the bookkeeping
-  /// transitions lock.
-  struct Guard {
-    mutable std::mutex mu;
-    adapt::GuardCounters counters;
-    int consecutive_failures = 0;
-    int cooldown_left = 0;
-    adapt::Health health = adapt::Health::kHealthy;
-  };
-
-  /// Pre-registered metric handles for one task (DESIGN.md §11): the hot
-  /// path bumps through these — no string assembly, no registry lookup, no
-  /// lock. All null when `counter_prefix` is empty.
+  /// Pre-registered engine-level metric handles for one task (DESIGN.md
+  /// §11); the guard counters live in the task's GuardEngine. All null when
+  /// `counter_prefix` is empty.
   struct TaskMetrics {
-    core::metrics::Counter* llm_ok = nullptr;
-    core::metrics::Counter* fallback = nullptr;
-    core::metrics::Counter* fail_exception = nullptr;
-    core::metrics::Counter* fail_invalid = nullptr;
-    core::metrics::Counter* fail_latency = nullptr;
-    core::metrics::Counter* breaker_trips = nullptr;
-    core::metrics::Counter* retries = nullptr;
-    core::metrics::Counter* shed = nullptr;
     core::metrics::Counter* slo_miss = nullptr;
     core::metrics::Counter* rejected = nullptr;
-    core::metrics::Gauge* health = nullptr;
     core::metrics::Histogram* queue_wait_ms = nullptr;
     core::metrics::Histogram* compute_ms = nullptr;
   };
   TaskMetrics make_task_metrics(const char* task) const;
 
-  /// Sets the task health and mirrors it into the gauge. Caller holds g.mu.
-  static void set_health(Guard& g, TaskMetrics& m, adapt::Health h);
-
+  /// One guarded decision through `guard` with this engine's per-request
+  /// inputs: the shed flag, the seeded retry/backoff policy with its
+  /// deadline check, and the `serve.batch` fault site inside the guarded
+  /// region. Stamps the serving path and retries into `meta`.
   template <typename Action, typename Primary, typename Validate, typename Fallback>
-  Action decide(Guard& g, TaskMetrics& m, Primary&& primary, Validate&& valid,
+  Action decide(adapt::GuardEngine& guard, Primary&& primary, Validate&& valid,
                 Fallback&& fallback, ResponseMeta& meta, const DecideCtx& ctx);
 
   /// Stamps the admission wait into `meta` and builds the decide() context:
@@ -391,13 +343,12 @@ class InferenceEngine {
   std::shared_ptr<abr::AbrPolicy> abr_policy_, abr_fallback_;
   std::shared_ptr<cjs::SchedPolicy> cjs_policy_, cjs_fallback_;
 
-  Guard vp_guard_, abr_guard_, cjs_guard_;
+  adapt::GuardEngine vp_guard_, abr_guard_, cjs_guard_;
   TaskMetrics vp_metrics_, abr_metrics_, cjs_metrics_;
   core::metrics::Gauge* queue_depth_ = nullptr;  // serve.queue_depth
   core::metrics::Counter* admission_wakeups_ = nullptr;  // serve.admission.wakeups
   std::mutex abr_mu_, cjs_mu_;  // serialize stateful policy calls
   std::shared_ptr<nn::KvArena> arena_;  // pooled KV pages + warm prefixes (VP)
-  std::shared_ptr<shard::ShardGroup> shard_group_;  // tensor-parallel fleet (VP)
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;   // signaled when run() frees queue space

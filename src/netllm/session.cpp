@@ -9,7 +9,7 @@
 #include <thread>
 
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 #include "core/trace.hpp"
 
 namespace netllm::adapt {
@@ -27,6 +27,20 @@ constexpr const char* kSecOptimizer = "optimizer";
 constexpr const char* kSecGuard = "guard";
 constexpr const char* kSecRng = "rng";
 constexpr const char* kSecLoop = "loop";
+
+/// Session event counters, registered on first use.
+struct SessionMetrics {
+  core::metrics::Counter& resumes = core::metrics::counter("session.resumes");
+  core::metrics::Counter& torn = core::metrics::counter("session.torn_checkpoints");
+  core::metrics::Counter& failures = core::metrics::counter("session.checkpoint_failures");
+  core::metrics::Counter& checkpoints = core::metrics::counter("session.checkpoints");
+  core::metrics::Counter& drains = core::metrics::counter("session.drains");
+};
+
+SessionMetrics& session_metrics() {
+  static SessionMetrics m;
+  return m;
+}
 
 template <typename T>
 void append_pod(std::string& buf, const T& v) {
@@ -202,14 +216,14 @@ int TrainSession::resume(core::Rng& rng, AdaptStats& stats) {
       stats.seconds = loop.seconds;
       stats.start_step = loop.next_step;
       last_saved_step_ = loop.next_step;
-      core::counter_add("session.resumes");
+      session_metrics().resumes.add();
       return loop.next_step;
     } catch (const SessionMismatch&) {
       throw;  // wrong run for this directory — never fall back past it
     } catch (const std::exception&) {
       // Torn or incompatible file (crash mid-write that outran the atomic
       // rename, or stray data): fall back to the previous checkpoint.
-      core::counter_add("session.torn_checkpoints");
+      session_metrics().torn.add();
       continue;
     }
   }
@@ -251,7 +265,7 @@ void TrainSession::checkpoint(int next_step, core::Rng& rng, const AdaptStats& s
       break;
     } catch (const std::exception&) {
       if (attempt >= attempts) {
-        core::counter_add("session.checkpoint_failures");
+        session_metrics().failures.add();
         if (must_succeed) throw;
         return;
       }
@@ -261,7 +275,7 @@ void TrainSession::checkpoint(int next_step, core::Rng& rng, const AdaptStats& s
   }
   last_saved_step_ = next_step;
   ++checkpoints_;
-  core::counter_add("session.checkpoints");
+  session_metrics().checkpoints.add();
   gc();
 }
 
@@ -285,7 +299,7 @@ bool TrainSession::after_step(int step, core::Rng& rng, AdaptStats& stats) {
     // tell the loop to exit cleanly.
     checkpoint(next, rng, stats, /*must_succeed=*/true);
     stats.interrupted = true;
-    core::counter_add("session.drains");
+    session_metrics().drains.add();
     return true;
   }
   if (opts_.checkpoint_every > 0 && next - last_saved_step_ >= opts_.checkpoint_every) {

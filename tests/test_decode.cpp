@@ -17,7 +17,7 @@
 #include "baselines/cjs/rule_based.hpp"
 #include "baselines/vp/rule_based.hpp"
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 #include "core/threadpool.hpp"
 #include "llm/minigpt.hpp"
 #include "llm/tokenizer.hpp"
@@ -342,7 +342,7 @@ TEST_F(Decode, EngineRoutesMixedBatchAcrossAllThreeTasks) {
 TEST_F(Decode, MidBatchFaultDegradesOneRequestWithoutPoisoningTheRest) {
   ThreadGuard guard;
   nc::set_global_threads(1);  // deterministic order: jobs run in submit order
-  nc::counters_reset();
+  nc::metrics::reset();
   auto adapter = vp_adapter(7);
   auto engine = ad::api::Serve(adapter);
   const auto samples = vp_samples(4);
@@ -359,7 +359,7 @@ TEST_F(Decode, MidBatchFaultDegradesOneRequestWithoutPoisoningTheRest) {
   EXPECT_EQ(counters.fail_exception, 1);
   EXPECT_EQ(counters.llm_ok, 3);
   EXPECT_EQ(counters.fallback, 1);
-  EXPECT_EQ(nc::counter_value("serve.vp.fallback"), 1);
+  EXPECT_EQ(nc::metrics::counter("serve.vp.fallback").value(), 1);
 
   ASSERT_EQ(engine->vp_responses().size(), 4u);
   EXPECT_EQ(engine->vp_responses()[1].meta.source, serve::Source::kFallback);

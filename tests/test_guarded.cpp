@@ -1,7 +1,9 @@
 // Guarded-inference and training-resilience tests: injected NaNs, latency
-// overruns and thrown exceptions must never escape a guarded policy — the
-// fallback serves a valid action on 100% of decisions — and the circuit
-// breaker opens after consecutive failures and closes after its cooldown.
+// overruns and thrown exceptions (std::exception or not) must never escape a
+// guarded policy — the fallback serves a valid action on 100% of decisions —
+// and the circuit breaker opens after consecutive failures and closes after
+// its cooldown. The guarded wrappers and the serving engine share one guard
+// state machine; a differential test drives both through the same script.
 // Training-side: poisoned losses/gradients are skipped and corrupted
 // parameters are restored from the last-good snapshot.
 #include <gtest/gtest.h>
@@ -10,12 +12,14 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "baselines/abr/rule_based.hpp"
 #include "baselines/cjs/rule_based.hpp"
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "core/metrics.hpp"
 #include "llm/tokenizer.hpp"
 #include "netllm/api.hpp"
 
@@ -24,7 +28,8 @@ namespace abr = netllm::abr;
 namespace cjs = netllm::cjs;
 namespace vp = netllm::vp;
 namespace fault = netllm::core::fault;
-namespace stats = netllm::core;
+namespace metrics = netllm::core::metrics;
+namespace serve = netllm::serve;
 using netllm::core::Rng;
 
 namespace {
@@ -56,11 +61,133 @@ std::vector<vp::VpSample> tiny_vp_data(int max_samples = 10) {
 
 class Guarded : public ::testing::Test {
  protected:
-  void SetUp() override { stats::counters_reset(); }
+  void SetUp() override { metrics::reset(); }
   void TearDown() override { fault::disarm_all(); }
 };
 
+abr::Observation abr_observation() {
+  abr::Observation obs;
+  obs.past_throughput_mbps.assign(abr::Observation::kHistory, 3.0);
+  obs.past_delay_s.assign(abr::Observation::kHistory, 0.1);
+  obs.next_chunk_sizes_mbytes = {0.5, 1.0, 2.0, 4.0};
+  obs.future_chunk_sizes_mbytes.assign(abr::Observation::kHorizon * 4, 1.0);
+  obs.buffer_s = 2.0;  // low buffer: BBA picks the lowest level
+  obs.chunks_remaining = 10;
+  obs.num_levels = 4;
+  return obs;
+}
+
+cjs::SchedObservation cjs_observation() {
+  cjs::SchedObservation obs;
+  obs.node_features = netllm::tensor::Tensor::zeros({2, cjs::SchedObservation::kNodeFeatures});
+  obs.topology.num_nodes = 2;
+  obs.topology.children = {{}, {}};
+  obs.runnable_rows = {0, 1};
+  obs.job_of_row = {0, 1};
+  obs.job_arrival_of_row = {0.0, 1.0};
+  obs.idle_executors = 4;
+  obs.total_executors = 8;
+  return obs;
+}
+
+// ---- primaries that throw something not derived from std::exception ----
+
+class IntThrowVp final : public vp::VpPredictor {
+ public:
+  std::string name() const override { return "int-throw"; }
+  std::vector<vp::Viewport> predict(std::span<const vp::Viewport>, const netllm::tensor::Tensor&,
+                                    int) override {
+    throw 42;
+  }
+};
+
+class IntThrowAbr final : public abr::AbrPolicy {
+ public:
+  std::string name() const override { return "int-throw"; }
+  int choose_level(const abr::Observation&) override { throw 42; }
+};
+
+class IntThrowCjs final : public cjs::SchedPolicy {
+ public:
+  std::string name() const override { return "int-throw"; }
+  cjs::SchedAction choose(const cjs::SchedObservation&) override { throw 42; }
+};
+
+// One case per guarded wrapper: `make()` wraps the int-throwing primary with
+// the default fallback, `decide_valid()` makes one decision and reports
+// whether the served answer passes the task's validity check.
+struct VpCase {
+  static auto make() { return ad::GuardedVpPredictor(std::make_shared<IntThrowVp>()); }
+  static bool decide_valid(ad::GuardedVpPredictor& g) {
+    const std::vector<vp::Viewport> history(4, vp::Viewport{0.0, 1.0, 2.0});
+    return ad::valid_viewports(g.predict(history, netllm::tensor::Tensor::zeros({4, 4}), 3), 3);
+  }
+};
+struct AbrCase {
+  static auto make() { return ad::GuardedAbrPolicy(std::make_shared<IntThrowAbr>()); }
+  static bool decide_valid(ad::GuardedAbrPolicy& g) {
+    const auto obs = abr_observation();
+    return ad::valid_level(g.choose_level(obs), obs);
+  }
+};
+struct CjsCase {
+  static auto make() { return ad::GuardedSchedPolicy(std::make_shared<IntThrowCjs>()); }
+  static bool decide_valid(ad::GuardedSchedPolicy& g) {
+    const auto obs = cjs_observation();
+    return ad::valid_action(g.choose(obs), obs);
+  }
+};
+
+// ---- a scripted ABR primary for the differential test ----
+
+enum class Outcome { kOk, kThrow, kNan, kSlow };
+
+/// Plays a fixed outcome script, one entry per primary call (kOk past the
+/// end). kNan answers an out-of-ladder level, as a NaN-poisoned head
+/// decodes; kSlow answers correctly but past a 10 ms budget.
+class ScriptedAbr final : public abr::AbrPolicy {
+ public:
+  explicit ScriptedAbr(std::vector<Outcome> script) : script_(std::move(script)) {}
+  std::string name() const override { return "scripted"; }
+  int choose_level(const abr::Observation& obs) override {
+    const Outcome o = calls_ < script_.size() ? script_[calls_] : Outcome::kOk;
+    ++calls_;
+    switch (o) {
+      case Outcome::kThrow: throw std::runtime_error("scripted failure");
+      case Outcome::kNan: return obs.num_levels;
+      case Outcome::kSlow: std::this_thread::sleep_for(std::chrono::milliseconds(30)); break;
+      case Outcome::kOk: break;
+    }
+    return obs.num_levels - 1;  // BBA at a low buffer answers 0: paths stay distinguishable
+  }
+  std::size_t calls() const { return calls_; }
+
+ private:
+  std::vector<Outcome> script_;
+  std::size_t calls_ = 0;
+};
+
+template <typename Case>
+class GuardedNonStdThrow : public Guarded {};
+using WrapperCases = ::testing::Types<VpCase, AbrCase, CjsCase>;
+TYPED_TEST_SUITE(GuardedNonStdThrow, WrapperCases);
+
 }  // namespace
+
+// ---------- non-std exceptions never escape a wrapper ----------
+
+TYPED_TEST(GuardedNonStdThrow, IntThrowIsServedByFallbackAndCounted) {
+  auto guarded = TypeParam::make();
+  for (int i = 0; i < 2; ++i) {
+    bool valid = false;
+    ASSERT_NO_THROW(valid = TypeParam::decide_valid(guarded));
+    EXPECT_TRUE(valid);
+  }
+  const auto c = guarded.counters();
+  EXPECT_EQ(c.fail_exception, 2);
+  EXPECT_EQ(c.fallback, 2);
+  EXPECT_EQ(c.llm_ok, 0);
+}
 
 // ---------- GuardEngine semantics ----------
 
@@ -124,6 +251,59 @@ TEST_F(Guarded, EngineBreakerOpensAndCloses) {
   EXPECT_EQ(engine.counters().fallback, 5);
 }
 
+// ---------- one state machine: wrapper vs serving engine ----------
+
+TEST_F(Guarded, WrapperAndEngineRunTheSameStateMachine) {
+  // ok, throw, NaN output, over-budget (the third consecutive failure trips
+  // the breaker), then ok until the cooldown has ended and the probe closed
+  // the loop again.
+  const std::vector<Outcome> script = {Outcome::kOk, Outcome::kThrow, Outcome::kNan,
+                                       Outcome::kSlow};
+  constexpr int kCooldown = 3;
+  constexpr int kDecisions = 4 + kCooldown + 2;
+  auto wrapped = std::make_shared<ScriptedAbr>(script);
+  auto served = std::make_shared<ScriptedAbr>(script);
+
+  ad::GuardConfig gcfg;
+  gcfg.latency_budget_ms = 10.0;
+  gcfg.breaker_threshold = 3;
+  gcfg.breaker_cooldown = kCooldown;
+  ad::GuardedAbrPolicy wrapper(wrapped, nullptr, gcfg);
+
+  serve::EngineConfig ecfg;
+  ecfg.latency_budget_ms = gcfg.latency_budget_ms;
+  ecfg.breaker_threshold = gcfg.breaker_threshold;
+  ecfg.breaker_cooldown = gcfg.breaker_cooldown;
+  ecfg.retry_budget = 0;
+  ecfg.max_slots = 1;
+  serve::InferenceEngine engine(nullptr, served, nullptr, ecfg);
+
+  const auto obs = abr_observation();
+  for (int i = 0; i < kDecisions; ++i) {
+    SCOPED_TRACE("decision " + std::to_string(i));
+    const int via_wrapper = wrapper.choose_level(obs);
+    const auto ticket = engine.submit(serve::AbrRequest{obs});
+    engine.run();
+    const auto& resp = engine.abr_response(ticket);
+    EXPECT_EQ(resp.level, via_wrapper);
+    EXPECT_EQ(engine.counters(), wrapper.counters());
+    EXPECT_EQ(engine.abr_health(), wrapper.health());
+    EXPECT_EQ(served->calls(), wrapped->calls());
+    // The breaker is open from the trip (decision 3) until its cooldown ran out.
+    EXPECT_EQ(wrapper.breaker_open(), i >= 3 && i < 3 + kCooldown);
+    const bool llm = i == 0 || i >= 4 + kCooldown;
+    EXPECT_EQ(resp.meta.source, llm ? serve::Source::kLlm : serve::Source::kFallback);
+  }
+  const auto c = wrapper.counters();
+  EXPECT_EQ(c.llm_ok, 3);
+  EXPECT_EQ(c.fail_exception, 1);
+  EXPECT_EQ(c.fail_invalid, 1);
+  EXPECT_EQ(c.fail_latency, 1);
+  EXPECT_EQ(c.breaker_trips, 1);
+  EXPECT_EQ(c.fallback, 3 + kCooldown);
+  EXPECT_EQ(wrapper.health(), ad::Health::kHealthy);
+}
+
 // ---------- guarded policies under fault injection ----------
 
 TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {
@@ -145,8 +325,8 @@ TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {
   EXPECT_EQ(c.llm_ok, 0);
   EXPECT_EQ(c.fallback, 5);
   EXPECT_GE(c.fail_invalid, 1);  // NaN coordinates failed validation
-  // Counters are mirrored into the core::stats registry for bench reports.
-  EXPECT_EQ(stats::counter_value("guard.vp.fallback"), c.fallback);
+  // Counters are mirrored into the core::metrics registry for bench reports.
+  EXPECT_EQ(metrics::counter("guard.vp.fallback").value(), c.fallback);
 }
 
 TEST_F(Guarded, VpLatencyOverrunTriggersFallback) {
@@ -214,7 +394,7 @@ TEST_F(Guarded, AbrServesValidLevelsForWholeSessionsUnderNanLogits) {
   EXPECT_EQ(c.fallback, c.decisions());
   EXPECT_GE(c.fail_exception, 1);  // heads refuse non-finite logits
   EXPECT_GE(c.breaker_trips, 1);
-  EXPECT_EQ(stats::counter_value("guard.abr.fallback"), c.fallback);
+  EXPECT_EQ(metrics::counter("guard.abr.fallback").value(), c.fallback);
 }
 
 TEST_F(Guarded, CjsCompletesWorkloadUnderNanLogits) {
@@ -238,7 +418,7 @@ TEST_F(Guarded, CjsCompletesWorkloadUnderNanLogits) {
   EXPECT_EQ(c.llm_ok, 0);
   EXPECT_EQ(c.fallback, c.decisions());
   EXPECT_GE(c.fail_exception, 1);
-  EXPECT_EQ(stats::counter_value("guard.cjs.fallback"), c.fallback);
+  EXPECT_EQ(metrics::counter("guard.cjs.fallback").value(), c.fallback);
 }
 
 // ---------- training resilience ----------
@@ -254,7 +434,7 @@ TEST_F(Guarded, AdaptSkipsPoisonedLossSteps) {
   EXPECT_EQ(stats_out.skipped_steps, 2);
   EXPECT_EQ(stats_out.restores, 0);
   EXPECT_TRUE(std::isfinite(stats_out.final_loss));
-  EXPECT_EQ(stats::counter_value("adapt.skipped_steps"), 2);
+  EXPECT_EQ(metrics::counter("adapt.skipped_steps").value(), 2);
 }
 
 TEST_F(Guarded, AdaptRestoresCorruptedParameters) {
@@ -270,5 +450,5 @@ TEST_F(Guarded, AdaptRestoresCorruptedParameters) {
   for (const auto& p : adapter.adapt_parameters()) {
     for (float v : p.data()) ASSERT_TRUE(std::isfinite(v));
   }
-  EXPECT_EQ(stats::counter_value("adapt.restores"), 1);
+  EXPECT_EQ(metrics::counter("adapt.restores").value(), 1);
 }
