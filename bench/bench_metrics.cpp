@@ -4,7 +4,9 @@
 // on vs off must agree within noise (the acceptance bar is 5%). Emits
 // BENCH_metrics.json (argv[1]) and drops a full registry export to
 // metrics.json (argv[2]) so run_benches.sh archives the per-phase trace
-// histograms alongside the BENCH files.
+// histograms alongside the BENCH files. The registry is reset after the
+// hot-path microbench, and the bench exits non-zero unless the exported
+// `trace.encode` count equals the encodes the metrics-on sweep issued.
 #include <array>
 #include <fstream>
 #include <iostream>
@@ -38,10 +40,13 @@ double ns_per_op(std::int64_t iters, double elapsed_ms) {
   return elapsed_ms * 1e6 / static_cast<double>(iters);
 }
 
+constexpr int kHorizon = 4;
+
 struct ServeRow {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double requests_per_s = 0.0;
+  std::int64_t primary_answers = 0;  // each encoded the prompt + horizon-1 steps
 };
 
 ServeRow serve_sweep(bool metrics_on) {
@@ -63,19 +68,23 @@ ServeRow serve_sweep(bool metrics_on) {
   constexpr int kBatch = 8, kIters = 4;
   std::vector<double> per_request_ms;
   std::size_t requests = 0;
+  ServeRow row;
   Timer total;
   for (int it = 0; it < kIters; ++it) {
     for (int b = 0; b < kBatch; ++b) {
       const auto& s = samples[static_cast<std::size_t>((it * kBatch + b) % samples.size())];
-      engine->submit(netllm::serve::VpRequest{s.history, s.saliency, 4});
+      engine->submit(netllm::serve::VpRequest{s.history, s.saliency, kHorizon});
     }
     const auto report = engine->run();
     requests += report.requests;
     for (const auto& resp : engine->vp_responses()) {
       per_request_ms.push_back(resp.meta.latency_ms);
+      const auto src = resp.meta.source;
+      if (src == netllm::serve::Source::kLlm || src == netllm::serve::Source::kRetried) {
+        ++row.primary_answers;
+      }
     }
   }
-  ServeRow row;
   row.p50_ms = percentile(per_request_ms, 50.0);
   row.p99_ms = percentile(per_request_ms, 99.0);
   row.requests_per_s = static_cast<double>(requests) / std::max(total.elapsed_s(), 1e-9);
@@ -114,6 +123,9 @@ int main(int argc, char** argv) {
   const auto on_costs = measure(true);
   const auto off_costs = measure(false);
   nm::set_enabled(true);
+  // The span loop above recorded into the real `encode` phase: drop it so
+  // the exported registry describes the serve sweep alone.
+  nm::reset();
 
   print_banner(std::cout, "hot-path cost (ns/op)");
   Table micro({"op", "enabled ns", "disabled ns"});
@@ -144,6 +156,12 @@ int main(int argc, char** argv) {
   if (p50_ratio > 1.05) {
     std::cerr << "[bench] WARNING: metrics-on p50 " << Table::num(p50_ratio, 3)
               << "x exceeds the 1.05x overhead bar\n";
+  }
+  const auto encodes = nm::histogram("trace.encode").count();
+  if (encodes != on.primary_answers * kHorizon) {
+    std::cerr << "[bench] ERROR: exported trace.encode.count " << encodes << " != "
+              << on.primary_answers * kHorizon << " encodes issued by the metrics-on sweep\n";
+    return 1;
   }
 
   // ---- JSON export ----

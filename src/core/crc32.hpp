@@ -1,6 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used by the tensor
-// snapshot container (format v2) for per-tensor and whole-file integrity
-// checks. Table-driven, byte-at-a-time — plenty fast for snapshot I/O.
+// snapshot container (tensor/serialize.hpp) for per-record and whole-file
+// integrity checks. Table-driven, byte-at-a-time — plenty fast for snapshot
+// I/O.
 #pragma once
 
 #include <cstddef>

@@ -78,7 +78,9 @@ Dtype dtype_from_name(const std::string& name) {
   throw std::invalid_argument("quant: unknown dtype '" + name + "'");
 }
 
-std::int64_t blocks_per_row(std::int64_t cols) { return (cols + kBlock - 1) / kBlock; }
+// Written without `cols + kBlock - 1` so a huge `cols` read from a snapshot
+// cannot overflow.
+std::int64_t blocks_per_row(std::int64_t cols) { return cols / kBlock + (cols % kBlock != 0); }
 
 std::int64_t block_code_bytes(Dtype d) {
   switch (d) {

@@ -1,9 +1,9 @@
 // Quantization tier (DESIGN.md §15): block formats, quantized matmul vs the
 // fp32 reference, bitwise determinism across thread counts (kernel level and
-// whole decode streams), the v4 quantized snapshot container with its
-// corruption/truncation fuzz suite, the training-untouched regression, and
-// the EngineConfig/AdaptOptions dtype knobs. Built to run under
-// -DNETLLM_SANITIZE=thread as well (ctest -L quant).
+// whole decode streams), quantized records in the v4 snapshot container
+// with its corruption/truncation fuzz suite, the training-untouched
+// regression, and the EngineConfig/AdaptOptions dtype knobs. Built to run
+// under -DNETLLM_SANITIZE=thread as well (ctest -L quant).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -70,7 +71,8 @@ void write_file(const fs::path& p, const std::string& bytes) {
 
 /// Patch `bytes` at `pos` and refresh the trailing file CRC so only the
 /// patched field is wrong — exercises the record validators, not the CRC.
-std::string patched_image(std::string bytes, std::size_t pos, std::uint32_t value) {
+template <typename T>
+std::string patched_image(std::string bytes, std::size_t pos, T value) {
   std::memcpy(bytes.data() + pos, &value, sizeof(value));
   const std::size_t body = bytes.size() - sizeof(std::uint32_t);
   const auto crc = netllm::core::crc32(bytes.data(), body);
@@ -300,7 +302,7 @@ TEST_F(Quant, QuantizedBackboneChangesForwardButStaysClose) {
   }
 }
 
-// ---------- v4 quantized snapshots ----------
+// ---------- quantized records in v4 snapshots ----------
 
 TEST_F(Quant, QuantSnapshotRoundTripsExactly) {
   Rng rng(0x5a7e);
@@ -308,15 +310,17 @@ TEST_F(Quant, QuantSnapshotRoundTripsExactly) {
   auto head = Tensor::from(random_vec(12, rng), {3, 4});
   const auto w8 = nq::quantize(nq::Dtype::kQ8_0, random_vec(2 * 40, rng).data(), 2, 40);
   const auto w4 = nq::quantize(nq::Dtype::kQ4_0, random_vec(3 * 64, rng).data(), 3, 64);
-  nt::save_quant_params(path, {{"head", head}}, {{"wq8", w8}, {"wq4", w4}});
+  const auto w0 = nq::quantize(nq::Dtype::kQ8_0, random_vec(32, rng).data(), 0, 32);
+  nt::save_params(path, {{"head", head}}, {{"wq8", w8}, {"wq4", w4}, {"wq0", w0}});
 
   auto head_in = Tensor::zeros({3, 4});
   nt::NamedQuants quants;
-  nt::load_quant_params(path, {{"head", head_in}}, quants);
+  const auto report = nt::load_params_report(path, {{"head", head_in}}, &quants);
+  ASSERT_TRUE(report.ok()) << report.summary();
   for (std::int64_t i = 0; i < head.numel(); ++i) ASSERT_EQ(head_in.at(i), head.at(i));
-  ASSERT_EQ(quants.size(), 2u);
+  ASSERT_EQ(quants.size(), 3u);
   for (const auto& [name, q] : quants) {
-    const auto& ref = name == "wq8" ? w8 : w4;
+    const auto& ref = name == "wq8" ? w8 : name == "wq4" ? w4 : w0;
     EXPECT_EQ(q.dtype, ref.dtype);
     EXPECT_EQ(q.rows, ref.rows);
     EXPECT_EQ(q.cols, ref.cols);
@@ -330,24 +334,23 @@ TEST_F(Quant, PlainReaderRejectsQuantSnapshotLoudly) {
   Rng rng(0xacce);
   const auto path = tmp_file("reject_plain.nllm").string();
   const auto wq = nq::quantize(nq::Dtype::kQ8_0, random_vec(64, rng).data(), 2, 32);
-  nt::save_quant_params(path, {}, {{"w", wq}});
+  nt::save_params(path, {}, {{"w", wq}});
+  // Without a quant sink, an fp32 param wanting the name is a mismatch that
+  // names the dtype: the blocks are never copied in as fp32 bytes.
+  auto w = Tensor::zeros({2, 32});
   try {
-    nt::load_params(path, {});
-    FAIL() << "plain reader accepted a v4 quantized snapshot";
+    nt::load_params(path, {{"w", w}});
+    FAIL() << "plain reader accepted a quantized record into an fp32 param";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("load_quant_params"), std::string::npos)
-        << "error should point at the quant-aware reader: " << e.what();
+    EXPECT_NE(std::string(e.what()).find("q8_0"), std::string::npos)
+        << "error should name the record's dtype: " << e.what();
   }
-  fs::remove(path);
-}
-
-TEST_F(Quant, QuantReaderRejectsPlainSnapshots) {
-  Rng rng(0xdead);
-  const auto path = tmp_file("reject_quant.nllm").string();
-  auto w = Tensor::from(random_vec(8, rng), {2, 4});
-  nt::save_params(path, {{"w", w}});
-  nt::NamedQuants quants;
-  EXPECT_THROW(nt::load_quant_params(path, {{"w", w}}, quants), std::runtime_error);
+  for (std::int64_t i = 0; i < w.numel(); ++i) ASSERT_EQ(w.at(i), 0.0f);
+  const auto report = nt::load_params_report(path, {{"w", w}});
+  EXPECT_EQ(report.loaded, 0u);
+  ASSERT_EQ(report.mismatched.size(), 1u);
+  EXPECT_NE(report.mismatched[0].find("q8_0"), std::string::npos) << report.mismatched[0];
+  EXPECT_TRUE(report.missing.empty());
   fs::remove(path);
 }
 
@@ -355,10 +358,10 @@ TEST_F(Quant, QuantSessionSectionsRoundTrip) {
   Rng rng(0x5e55);
   const auto path = tmp_file("session.nllm").string();
   const auto wq = nq::quantize(nq::Dtype::kQ4_0, random_vec(96, rng).data(), 3, 32);
-  nt::save_quant_session(path, {}, {{"w", wq}}, {{"rng", "0123"}, {"loop", "\x07"}});
+  nt::save_params(path, {}, {{"w", wq}}, {{"rng", "0123"}, {"loop", "\x07"}});
   nt::NamedQuants quants;
   nt::SessionSections sections;
-  const auto report = nt::load_quant_params_report(path, {}, quants, &sections);
+  const auto report = nt::load_params_report(path, {}, &quants, &sections);
   EXPECT_EQ(report.version, 4u);
   ASSERT_EQ(sections.size(), 2u);
   EXPECT_EQ(sections[0].first, "rng");
@@ -373,7 +376,7 @@ TEST_F(Quant, DuplicateNamesAcrossListsRejected) {
   const auto path = tmp_file("dupes.nllm").string();
   auto t = Tensor::from(random_vec(32, rng), {1, 32});
   const auto q = nq::quantize(nq::Dtype::kQ8_0, random_vec(32, rng).data(), 1, 32);
-  EXPECT_THROW(nt::save_quant_params(path, {{"w", t}}, {{"w", q}}), std::runtime_error);
+  EXPECT_THROW(nt::save_params(path, {{"w", t}}, {{"w", q}}), std::runtime_error);
 }
 
 // The v4 record header layout for a container holding a single quant tensor
@@ -381,6 +384,8 @@ TEST_F(Quant, DuplicateNamesAcrossListsRejected) {
 //   0  magic | 4 version | 8 count | 12 name_len | 16 name ("w")
 //   17 dtype | 21 rows | 29 cols | 37 block_size | 41 nscales | 49 ncodes
 constexpr std::size_t kDtypeOff = 17;
+constexpr std::size_t kRowsOff = 21;
+constexpr std::size_t kColsOff = 29;
 constexpr std::size_t kBlockSizeOff = 37;
 constexpr std::size_t kNscalesOff = 41;
 constexpr std::size_t kNcodesOff = 49;
@@ -389,18 +394,37 @@ std::string single_quant_image(nq::Dtype d) {
   Rng rng(0xfade);
   const auto path = tmp_file("malform.nllm");
   const auto wq = nq::quantize(d, random_vec(2 * 40, rng).data(), 2, 40);
-  nt::save_quant_params(path.string(), {}, {{"w", wq}});
+  nt::save_params(path.string(), {}, {{"w", wq}});
   auto bytes = read_file(path);
   fs::remove(path);
   return bytes;
 }
 
+/// The checkpoint shape: fp32 records plus sections, no quantized records.
+std::string checkpoint_image() {
+  Rng rng(0xc4e7);
+  const auto path = tmp_file("checkpoint.nllm");
+  auto w = Tensor::from(random_vec(12, rng), {3, 4});
+  auto b = Tensor::from(random_vec(5, rng), {5});
+  nt::save_params(path.string(), {{"w", w}, {"b", b}}, {},
+                  {{"optimizer", std::string(24, 'm')}, {"rng", "0123"}});
+  auto bytes = read_file(path);
+  fs::remove(path);
+  return bytes;
+}
+
+/// Loads `path` through the one reader with every sink attached.
+void load_all(const fs::path& path) {
+  nt::NamedQuants quants;
+  nt::SessionSections sections;
+  (void)nt::load_params_report(path.string(), {}, &quants, &sections);
+}
+
 void expect_named_rejection(const std::string& bytes, const std::string& needle) {
   const auto path = tmp_file("malform_case.nllm");
   write_file(path, bytes);
-  nt::NamedQuants quants;
   try {
-    nt::load_quant_params(path.string(), {}, quants);
+    load_all(path);
     FAIL() << "malformed snapshot accepted (wanted error containing '" << needle << "')";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
@@ -414,44 +438,56 @@ TEST_F(Quant, MalformedRecordsYieldNamedErrors) {
   {
     const auto path = tmp_file("malform_ok.nllm");
     write_file(path, good);
-    nt::NamedQuants quants;
-    EXPECT_NO_THROW(nt::load_quant_params(path.string(), {}, quants));
+    EXPECT_NO_THROW(load_all(path));
     fs::remove(path);
   }
   expect_named_rejection(patched_image(good, kDtypeOff, 7), "bad dtype");
   expect_named_rejection(patched_image(good, kBlockSizeOff, 16), "bad block size");
   expect_named_rejection(patched_image(good, kNscalesOff, 999), "bad block count");
   expect_named_rejection(patched_image(good, kNcodesOff, 1), "bad code bytes");
+  // Crafted counts whose products wrap: 2^62 rows x 2 blocks is 2^63 scales,
+  // and 2^63 scales x 4 bytes (or x 32 code bytes) is 0 mod 2^64, so an
+  // unchecked reader sees a consistent, tiny record and then allocates 2^63
+  // floats. Each count is bounded by the bytes left before it is multiplied.
+  {
+    auto wrap = patched_image(good, kRowsOff, std::int64_t{1} << 62);
+    wrap = patched_image(wrap, kColsOff, std::int64_t{64});
+    wrap = patched_image(wrap, kNscalesOff, std::uint64_t{1} << 63);
+    wrap = patched_image(wrap, kNcodesOff, std::uint64_t{0});
+    expect_named_rejection(wrap, "truncated");
+  }
+  expect_named_rejection(patched_image(good, kColsOff, std::numeric_limits<std::int64_t>::max()),
+                         "truncated");
 }
 
 TEST_F(Quant, SeededCorruptionFuzzAlwaysRaisesNamedError) {
-  const auto good = single_quant_image(nq::Dtype::kQ4_0);
   const auto path = tmp_file("fuzz_flip.nllm");
-  Rng rng(0xf1ee7);
-  // Any single-byte corruption must be detected: headers and payloads are
-  // all under the file CRC, payloads additionally under per-record CRCs.
-  for (int trial = 0; trial < 500; ++trial) {
-    auto bad = good;
-    const auto pos = static_cast<std::size_t>(
-        rng.randint(0, static_cast<std::int64_t>(bad.size()) - 1));
-    const auto flip = static_cast<char>(rng.randint(1, 255));
-    bad[pos] ^= flip;
-    write_file(path, bad);
-    nt::NamedQuants quants;
-    EXPECT_THROW(nt::load_quant_params(path.string(), {}, quants), std::runtime_error)
-        << "undetected corruption at byte " << pos;
+  for (const auto& good : {single_quant_image(nq::Dtype::kQ4_0),
+                           single_quant_image(nq::Dtype::kQ8_0), checkpoint_image()}) {
+    Rng rng(0xf1ee7);
+    // Any single-byte corruption must be detected: headers and payloads are
+    // all under the file CRC, payloads additionally under per-record CRCs.
+    for (int trial = 0; trial < 500; ++trial) {
+      auto bad = good;
+      const auto pos = static_cast<std::size_t>(
+          rng.randint(0, static_cast<std::int64_t>(bad.size()) - 1));
+      const auto flip = static_cast<char>(rng.randint(1, 255));
+      bad[pos] ^= flip;
+      write_file(path, bad);
+      EXPECT_THROW(load_all(path), std::runtime_error) << "undetected corruption at byte " << pos;
+    }
   }
   fs::remove(path);
 }
 
 TEST_F(Quant, SeededTruncationFuzzAlwaysRaisesNamedError) {
-  const auto good = single_quant_image(nq::Dtype::kQ8_0);
   const auto path = tmp_file("fuzz_trunc.nllm");
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    write_file(path, good.substr(0, len));
-    nt::NamedQuants quants;
-    EXPECT_THROW(nt::load_quant_params(path.string(), {}, quants), std::runtime_error)
-        << "undetected truncation to " << len;
+  for (const auto& good : {single_quant_image(nq::Dtype::kQ8_0),
+                           single_quant_image(nq::Dtype::kQ4_0), checkpoint_image()}) {
+    for (std::size_t len = 0; len < good.size(); ++len) {
+      write_file(path, good.substr(0, len));
+      EXPECT_THROW(load_all(path), std::runtime_error) << "undetected truncation to " << len;
+    }
   }
   fs::remove(path);
 }

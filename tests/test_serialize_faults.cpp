@@ -1,6 +1,8 @@
-// Checkpoint hardening tests: container-v2 round trips, corruption detection
-// (bit flips, truncation, bad magic), v1 backward compatibility, atomic-write
-// crash simulation via the fault injector, and retry-with-backoff saves.
+// Checkpoint hardening tests: container round trips (every save writes v4),
+// corruption detection (bit flips, truncation, bad magic, crafted counts),
+// byte fixtures for the legacy v1–v3 layouts the one reader still accepts,
+// atomic-write crash simulation via the fault injector, and
+// retry-with-backoff saves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,19 +42,36 @@ void append_pod(std::string& buf, const T& v) {
   buf.append(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-/// Handcrafted legacy v1 container (no checksums, no footer) per the format
-/// the seed repo wrote — guards backward compatibility.
-std::string v1_container(const std::vector<std::pair<std::string, std::vector<float>>>& tensors) {
+/// Handcrafted legacy container, byte for byte what earlier releases wrote:
+/// v1 has no checksums and no footer, v2 adds a CRC per tensor and the file
+/// CRC footer, v3 adds the section block. Rank-1 tensors only — guards
+/// backward compatibility of the one reader.
+std::string legacy_container(
+    std::uint32_t version, const std::vector<std::pair<std::string, std::vector<float>>>& tensors,
+    const nt::SessionSections& sections = {}) {
   std::string buf = "NLLM";
-  append_pod(buf, std::uint32_t{1});
+  append_pod(buf, version);
   append_pod(buf, static_cast<std::uint32_t>(tensors.size()));
   for (const auto& [name, data] : tensors) {
     append_pod(buf, static_cast<std::uint32_t>(name.size()));
     buf.append(name);
     append_pod(buf, std::uint32_t{1});  // rank
     append_pod(buf, static_cast<std::int64_t>(data.size()));
-    buf.append(reinterpret_cast<const char*>(data.data()), data.size() * sizeof(float));
+    const auto bytes = data.size() * sizeof(float);
+    if (version >= 2) append_pod(buf, netllm::core::crc32(data.data(), bytes));
+    buf.append(reinterpret_cast<const char*>(data.data()), bytes);
   }
+  if (version >= 3) {
+    append_pod(buf, static_cast<std::uint32_t>(sections.size()));
+    for (const auto& [name, blob] : sections) {
+      append_pod(buf, static_cast<std::uint32_t>(name.size()));
+      buf.append(name);
+      append_pod(buf, netllm::core::crc32(blob.data(), blob.size()));
+      append_pod(buf, static_cast<std::uint64_t>(blob.size()));
+      buf.append(blob);
+    }
+  }
+  if (version >= 2) append_pod(buf, netllm::core::crc32(buf.data(), buf.size()));
   return buf;
 }
 
@@ -68,15 +87,18 @@ TEST_F(SerializeFaults, V2RoundTripAndReport) {
   Rng rng(1);
   auto w1 = nt::Tensor::randn({3, 4}, rng, 1.0f, true);
   auto w2 = nt::Tensor::randn({5}, rng, 1.0f, true);
-  nt::save_params(path.string(), {{"w1", w1}, {"w2", w2}});
+  auto empty = nt::Tensor::zeros({0}, true);  // no storage: zero-byte payload
+  nt::save_params(path.string(), {{"w1", w1}, {"w2", w2}, {"empty", empty}});
   EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));  // renamed away
 
   auto r1 = nt::Tensor::zeros({3, 4}, true);
   auto r2 = nt::Tensor::zeros({5}, true);
-  const auto report = nt::load_params_report(path.string(), {{"w1", r1}, {"w2", r2}});
+  auto r0 = nt::Tensor::zeros({0}, true);
+  const auto report =
+      nt::load_params_report(path.string(), {{"w1", r1}, {"w2", r2}, {"empty", r0}});
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 2u);
-  EXPECT_EQ(report.loaded, 2u);
+  EXPECT_EQ(report.version, 4u);
+  EXPECT_EQ(report.loaded, 3u);
   for (int i = 0; i < 12; ++i) EXPECT_EQ(r1.at(i), w1.at(i));
   for (int i = 0; i < 5; ++i) EXPECT_EQ(r2.at(i), w2.at(i));
   std::filesystem::remove(path);
@@ -109,9 +131,9 @@ TEST_F(SerializeFaults, PayloadFlipNamesTheBadTensor) {
   auto b = nt::Tensor::randn({8}, rng, 1.0f, true);
   nt::save_params(path.string(), {{"alpha", a}, {"beta", b}});
   std::string image = read_file(path);
-  // Flip a byte in the *last* tensor's float payload (just before the
-  // 4-byte footer), so the diagnostic must name "beta".
-  image[image.size() - 8] = static_cast<char>(image[image.size() - 8] ^ 0x40);
+  // Flip a byte in the *last* tensor's float payload (just before the u32
+  // section count and the 4-byte footer), so the diagnostic must name "beta".
+  image[image.size() - 12] = static_cast<char>(image[image.size() - 12] ^ 0x40);
   // Recompute nothing: the file CRC now also mismatches, but the per-tensor
   // check must still attribute the damage. Patch the footer so only the
   // tensor CRC catches it.
@@ -154,7 +176,7 @@ TEST_F(SerializeFaults, BadMagicRejected) {
 
 TEST_F(SerializeFaults, V1ContainersStillLoad) {
   const auto path = tmp_path("netllm_v1_compat.bin");
-  write_file(path, v1_container({{"w", {1.5f, -2.0f, 0.25f}}}));
+  write_file(path, legacy_container(1, {{"w", {1.5f, -2.0f, 0.25f}}}));
   auto r = nt::Tensor::zeros({3}, true);
   const auto report = nt::load_params_report(path.string(), {{"w", r}});
   EXPECT_TRUE(report.ok());
@@ -162,6 +184,35 @@ TEST_F(SerializeFaults, V1ContainersStillLoad) {
   EXPECT_EQ(r.at(0), 1.5f);
   EXPECT_EQ(r.at(1), -2.0f);
   EXPECT_EQ(r.at(2), 0.25f);
+  std::filesystem::remove(path);
+}
+
+TEST_F(SerializeFaults, V1CraftedDimsRaiseNamedErrors) {
+  // v1 has no CRC, so any dim a crafted file claims reaches the reader. The
+  // element count is bounded by the bytes left before it is multiplied:
+  // neither a huge dim (2^62 floats wrap to a 0-byte payload) nor a product
+  // that overflows int64 ({2^40, 2^40}) may escape as anything but a named
+  // std::runtime_error.
+  //   0 magic | 4 version | 8 count | 12 name_len | 16 "w" | 17 rank | 21 dims
+  const auto path = tmp_path("netllm_v1_crafted.bin");
+  const std::string good = legacy_container(1, {{"w", {1.0f, 2.0f, 3.0f}}});
+  auto patched = [&](std::uint32_t rank, std::vector<std::int64_t> dims) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + 17, &rank, sizeof(rank));
+    std::memcpy(bytes.data() + 21, dims.data(), dims.size() * sizeof(std::int64_t));
+    return bytes;
+  };
+  for (const auto& bytes : {patched(1, {std::int64_t{1} << 62}),
+                            patched(2, {std::int64_t{1} << 40, std::int64_t{1} << 40})}) {
+    write_file(path, bytes);
+    auto r = nt::Tensor::zeros({3}, true);
+    try {
+      (void)nt::load_params_report(path.string(), {{"w", r}});
+      FAIL() << "crafted dims accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+    }
+  }
   std::filesystem::remove(path);
 }
 
@@ -283,7 +334,7 @@ TEST_F(SerializeFaults, SaveRetryGivesUpAndRethrows) {
   std::filesystem::remove(path.string() + ".tmp");
 }
 
-// ---- v3 session records (durable-session satellite) ----
+// ---- sections (durable-session records) and legacy fixtures ----
 
 TEST_F(SerializeFaults, V3SessionRoundTripCarriesSections) {
   const auto path = tmp_path("netllm_v3_roundtrip.bin");
@@ -291,13 +342,13 @@ TEST_F(SerializeFaults, V3SessionRoundTripCarriesSections) {
   auto w = nt::Tensor::randn({3, 3}, rng, 1.0f, true);
   const nt::SessionSections sections = {{"fingerprint", "task=vp;seed=7"},
                                         {"rng", std::string("\x01\x02\x00\x7f", 4)}};
-  nt::save_session(path.string(), {{"w", w}}, sections);
+  nt::save_params(path.string(), {{"w", w}}, {}, sections);
 
   auto w2 = nt::Tensor::zeros({3, 3}, true);
   nt::SessionSections loaded;
-  const auto report = nt::load_params_report(path.string(), {{"w", w2}}, &loaded);
+  const auto report = nt::load_params_report(path.string(), {{"w", w2}}, nullptr, &loaded);
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 3u);
+  EXPECT_EQ(report.version, 4u);
   EXPECT_TRUE(report.has_session());
   ASSERT_EQ(report.sections.size(), 2u);
   ASSERT_EQ(loaded.size(), 2u);
@@ -313,7 +364,7 @@ TEST_F(SerializeFaults, V3SectionBitFlipNamesTheSection) {
   const auto path = tmp_path("netllm_v3_secflip.bin");
   auto w = nt::Tensor::from({1.0f}, {1}, true);
   const std::string payload = "SECTION-PAYLOAD-0123456789";
-  nt::save_session(path.string(), {{"w", w}}, {{"optimizer", payload}});
+  nt::save_params(path.string(), {{"w", w}}, {}, {{"optimizer", payload}});
 
   std::string image = read_file(path);
   const auto off = image.find(payload);
@@ -327,47 +378,47 @@ TEST_F(SerializeFaults, V3SectionBitFlipNamesTheSection) {
 
   nt::SessionSections loaded;
   try {
-    (void)nt::load_params_report(path.string(), {{"w", w}}, &loaded);
+    (void)nt::load_params_report(path.string(), {{"w", w}}, nullptr, &loaded);
     FAIL() << "expected checksum mismatch";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("optimizer"), std::string::npos) << e.what();
   }
 }
 
-TEST_F(SerializeFaults, V1LoadsUnderV3ReaderWithoutSessionSections) {
-  const auto path = tmp_path("netllm_v1_under_v3.bin");
-  write_file(path, v1_container({{"w", {1.5f, -2.0f, 0.25f}}}));
-  auto w = nt::Tensor::zeros({3}, true);
-  nt::SessionSections loaded = {{"stale", "junk"}};  // must be cleared
-  const auto report = nt::load_params_report(path.string(), {{"w", w}}, &loaded);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 1u);
-  EXPECT_FALSE(report.has_session());
-  EXPECT_TRUE(report.sections.empty());
-  EXPECT_TRUE(loaded.empty());
-  EXPECT_EQ(w.at(0), 1.5f);
-}
-
-TEST_F(SerializeFaults, V2LoadsUnderV3ReaderWithoutSessionSections) {
-  const auto path = tmp_path("netllm_v2_under_v3.bin");
-  auto w = nt::Tensor::from({2.0f, 4.0f}, {2}, true);
-  nt::save_params(path.string(), {{"w", w}});  // plain snapshots stay v2
-  auto w2 = nt::Tensor::zeros({2}, true);
-  nt::SessionSections loaded = {{"stale", "junk"}};
-  const auto report = nt::load_params_report(path.string(), {{"w", w2}}, &loaded);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.version, 2u);
-  EXPECT_FALSE(report.has_session());
-  EXPECT_TRUE(loaded.empty());
-  EXPECT_EQ(w2.at(1), 4.0f);
+TEST_F(SerializeFaults, LegacyFixturesLoadUnderTheOneReader) {
+  const auto path = tmp_path("netllm_legacy_fixture.bin");
+  for (std::uint32_t version : {1u, 2u, 3u}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    write_file(path, legacy_container(version, {{"w", {1.5f, -2.0f, 0.25f}}},
+                                      {{"rng", std::string("\x01\x00\x7f", 3)}}));
+    auto w = nt::Tensor::zeros({3}, true);
+    nt::SessionSections loaded = {{"stale", "junk"}};  // must be cleared
+    const auto report = nt::load_params_report(path.string(), {{"w", w}}, nullptr, &loaded);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.version, version);
+    EXPECT_EQ(w.at(0), 1.5f);
+    EXPECT_EQ(w.at(1), -2.0f);
+    EXPECT_EQ(w.at(2), 0.25f);
+    // Only v3 carries a section block; v1/v2 load as weights-only.
+    EXPECT_EQ(report.has_session(), version == 3);
+    if (version == 3) {
+      ASSERT_EQ(loaded.size(), 1u);
+      EXPECT_EQ(loaded[0].first, "rng");
+      EXPECT_EQ(loaded[0].second, std::string("\x01\x00\x7f", 3));
+    } else {
+      EXPECT_TRUE(report.sections.empty());
+      EXPECT_TRUE(loaded.empty());
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(SerializeFaults, V3TruncatedSectionRejected) {
   const auto path = tmp_path("netllm_v3_trunc.bin");
   auto w = nt::Tensor::from({1.0f}, {1}, true);
-  nt::save_session(path.string(), {{"w", w}}, {{"rng", std::string(64, 'r')}});
+  nt::save_params(path.string(), {{"w", w}}, {}, {{"rng", std::string(64, 'r')}});
   const std::string image = read_file(path);
   write_file(path, image.substr(0, image.size() - 20));  // cut into the section
-  EXPECT_THROW((void)nt::load_params_report(path.string(), {{"w", w}}, nullptr),
+  EXPECT_THROW((void)nt::load_params_report(path.string(), {{"w", w}}, nullptr, nullptr),
                std::runtime_error);
 }
