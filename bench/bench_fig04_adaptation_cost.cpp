@@ -41,7 +41,8 @@ ArmResult run_arm(bool full_finetune, std::span<const vp::VpSample> data, int st
 
   ArmResult result;
   const auto total_params = llm->param_count() + adapter.param_count();
-  result.footprint = ad::measure_footprint(total_params, adapter.adapt_parameters());
+  result.footprint = ad::measure_footprint(
+      total_params, ad::adapt_parameters(adapter, full_finetune ? llm.get() : nullptr));
   nt::reset_peak_float_count();
   const auto before_floats = nt::live_float_count();
   Timer t;

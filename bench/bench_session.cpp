@@ -71,7 +71,7 @@ std::size_t param_scalars(const netllm::tensor::NamedParams& params) {
 void BM_CheckpointSave(benchmark::State& state) {
   const auto& size = kSizes[state.range(0)];
   auto adapter = make_adapter(size);
-  netllm::tensor::Adam opt(adapter->adapt_parameters(), 1e-3f);
+  netllm::tensor::Adam opt(ad::adapt_parameters(*adapter, nullptr), 1e-3f);
   ad::TrainGuard guard(opt.params());
   auto params = ad::session_params(*adapter, nullptr);
   ad::SessionOptions opts;
@@ -101,7 +101,7 @@ BENCHMARK(BM_CheckpointSave)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
 void BM_CheckpointRestore(benchmark::State& state) {
   const auto& size = kSizes[state.range(0)];
   auto adapter = make_adapter(size);
-  netllm::tensor::Adam opt(adapter->adapt_parameters(), 1e-3f);
+  netllm::tensor::Adam opt(ad::adapt_parameters(*adapter, nullptr), 1e-3f);
   ad::TrainGuard guard(opt.params());
   auto params = ad::session_params(*adapter, nullptr);
   ad::SessionOptions opts;

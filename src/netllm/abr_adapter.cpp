@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/fault.hpp"
-#include "core/metrics.hpp"
-#include "core/timer.hpp"
 #include "core/trace.hpp"
-#include "netllm/resilience.hpp"
-#include "tensor/optim.hpp"
 
 namespace netllm::adapt {
 
-namespace {
 using namespace netllm::tensor;
-}  // namespace
 
 AbrStep make_abr_step(const abr::Observation& obs) {
   AbrStep s;
@@ -158,133 +151,54 @@ void AbrAdapter::observe_result(const abr::ChunkResult&, double chunk_qoe) {
   rtg_now_ -= static_cast<float>(chunk_qoe);
 }
 
-AbrAdapter::AdaptStats AbrAdapter::adapt(std::span<const AbrTrajectory> pool, int steps,
-                                         float lr, std::uint64_t seed,
-                                         const SessionOptions& session) {
-  if (pool.empty()) throw std::invalid_argument("AbrAdapter::adapt: empty pool");
-  // Train on the fp32 masters (see VpAdapter::adapt); requantize on exit.
-  llm::ScopedQuantPause quant_pause(*llm_);
-  core::Rng rng(seed);
-  // Precompute returns-to-go per trajectory and the target return.
-  std::vector<std::vector<float>> rtg(pool.size());
-  float best_return = -1e30f;
-  for (std::size_t t = 0; t < pool.size(); ++t) {
-    rtg[t].resize(pool[t].size());
-    float g = 0.0f;
-    for (std::size_t i = pool[t].size(); i-- > 0;) {
-      g += pool[t][i].reward;
-      rtg[t][i] = g;
-    }
-    if (!pool[t].empty()) best_return = std::max(best_return, rtg[t][0]);
-  }
-  target_return_ = best_return * cfg_.target_return_boost;
-
-  // Return-weighted trajectory sampling: high-return behaviour is seen more
-  // often (softmax over episode returns), while return-to-go conditioning
-  // still lets the model distinguish good from bad actions within a window.
-  std::vector<double> sample_weights(pool.size(), 1.0);
-  {
-    float g_min = 1e30f, g_max = -1e30f;
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      if (pool[t].empty()) continue;
-      g_min = std::min(g_min, rtg[t][0]);
-      g_max = std::max(g_max, rtg[t][0]);
-    }
-    const float temp = std::max((g_max - g_min) / 8.0f, 1e-3f);
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      sample_weights[t] =
-          pool[t].empty() ? 0.0 : std::exp(static_cast<double>((rtg[t][0] - g_max) / temp));
-    }
-  }
-
-  Adam opt(adapt_parameters(), lr);  // unfreezes the backbone when it trains too
-  TrainGuard guard(opt.params());
-  AdaptStats stats;
-  TrainSession sess(session, SessionFingerprint{"abr", llm_->config().name, seed, lr, steps},
-                    session_params(*this, cfg_.train_backbone ? llm_.get() : nullptr), opt,
-                    guard);
-  const int start = sess.resume(rng, stats);
-  const double prior_s = stats.seconds;  // wall time from interrupted runs
-  auto& step_hist = core::metrics::histogram("adapt.abr.step_ms");
-  auto& step_count = core::metrics::counter("adapt.abr.steps");
-  core::Timer timer;
+AdaptStats AbrAdapter::adapt(std::span<const AbrTrajectory> pool, int steps, float lr,
+                            std::uint64_t seed, const SessionOptions& session) {
+  const auto dt = make_dt_pool(pool, "AbrAdapter");
+  target_return_ = dt.best_return * cfg_.target_return_boost;
   const auto w = static_cast<std::size_t>(cfg_.context_window);
   constexpr int kBatch = 3;  // windows per gradient step
-  for (int step = start; step < steps; ++step) {
-    core::Timer step_timer;
-    // Linear learning-rate decay to 30% — stabilises the late phase of the
-    // offline fit without a separate schedule object.
-    opt.set_lr(lr * (1.0f - 0.7f * static_cast<float>(step) / static_cast<float>(steps)));
-    opt.zero_grad();
-    float batch_loss = 0.0f;
-    for (int b = 0; b < kBatch; ++b) {
-      const auto traj_idx = rng.weighted_choice(sample_weights);
-      const auto& traj = pool[traj_idx];
-      if (traj.size() < 2) continue;
-      const auto span_len = std::min(w, traj.size());
-      const auto start = static_cast<std::size_t>(
-          rng.randint(0, static_cast<std::int64_t>(traj.size() - span_len)));
-      std::vector<AbrStep> window_steps{traj.begin() + static_cast<std::ptrdiff_t>(start),
-                                        traj.begin() + static_cast<std::ptrdiff_t>(start + span_len)};
-      std::span<const float> window_rtg{rtg[traj_idx].data() + start, span_len};
-      // Targets are the true actions; the *context* action tokens are
-      // randomly perturbed (action dropout) so the model cannot minimise the
-      // loss by copying its previous action — it must read the state. This
-      // prevents the copy-collapse failure of behaviour-cloned policies
-      // whose actions are strongly autocorrelated.
-      std::vector<int> targets;
-      targets.reserve(window_steps.size());
-      for (const auto& s : window_steps) targets.push_back(s.action);
-      for (auto& s : window_steps) {
-        if (rng.bernoulli(0.25)) s.action = static_cast<int>(rng.randint(0, kLevels - 1));
-      }
-      auto window = build_window(window_steps, window_rtg, /*open_last=*/false);
-      auto features = llm_->forward_embeddings(window.sequence);
-      std::vector<Tensor> rows;
-      for (std::size_t i = 0; i < window_steps.size(); ++i) {
-        rows.push_back(slice_rows(features, window.predict_positions[i], 1));
-      }
-      auto logits = head_->logits(concat_rows(rows));
-      auto loss = cross_entropy_rows(logits, targets);
-      core::fault::corrupt("adapter.step", loss.mutable_data());
-      batch_loss += loss.item() / kBatch;
-      scale(loss, 1.0f / kBatch).backward();
+  // Appends one sampled window's action cross entropy to `terms`.
+  const auto add_window = [&](core::Rng& rng, std::vector<Tensor>& terms) {
+    const auto traj_idx = rng.weighted_choice(dt.weights);
+    const auto& traj = pool[traj_idx];
+    if (traj.empty()) return;
+    const auto span_len = std::min(w, traj.size());
+    const auto start = static_cast<std::size_t>(
+        rng.randint(0, static_cast<std::int64_t>(traj.size() - span_len)));
+    std::vector<AbrStep> window_steps{traj.begin() + static_cast<std::ptrdiff_t>(start),
+                                      traj.begin() + static_cast<std::ptrdiff_t>(start + span_len)};
+    std::span<const float> window_rtg{dt.rtg[traj_idx].data() + start, span_len};
+    // Targets are the true actions; the *context* action tokens are
+    // randomly perturbed (action dropout) so the model cannot minimise the
+    // loss by copying its previous action — it must read the state. This
+    // prevents the copy-collapse failure of behaviour-cloned policies
+    // whose actions are strongly autocorrelated.
+    std::vector<int> targets;
+    targets.reserve(window_steps.size());
+    for (const auto& s : window_steps) targets.push_back(s.action);
+    for (auto& s : window_steps) {
+      if (rng.bernoulli(0.25)) s.action = static_cast<int>(rng.randint(0, kLevels - 1));
     }
-    if (guard.loss_ok(batch_loss) && guard.grads_ok()) {
-      if (step == 0) stats.initial_loss = batch_loss;
-      stats.final_loss = batch_loss;
-      opt.clip_grad_norm(1.0);
-      opt.step();
-      guard.after_step();
-    } else {
-      // A poisoned window already backpropagated into the grads — drop the
-      // whole accumulated batch rather than stepping on NaNs.
-      opt.zero_grad();
+    auto window = build_window(window_steps, window_rtg, /*open_last=*/false);
+    auto features = llm_->forward_embeddings(window.sequence);
+    std::vector<Tensor> rows;
+    for (std::size_t i = 0; i < window_steps.size(); ++i) {
+      rows.push_back(slice_rows(features, window.predict_positions[i], 1));
     }
-    stats.seconds = prior_s + timer.elapsed_s();
-    stats.skipped_steps = guard.skipped_steps();
-    stats.restores = guard.restores();
-    step_hist.record(step_timer.elapsed_ms());
-    step_count.add();
-    if (sess.after_step(step, rng, stats)) break;  // drained on SIGINT/SIGTERM
-  }
-  stats.seconds = prior_s + timer.elapsed_s();
-  stats.skipped_steps = guard.skipped_steps();
-  stats.restores = guard.restores();
-  if (!stats.interrupted) sess.finish(steps, rng, stats);
-  stats.checkpoints = sess.checkpoints_written();
-  return stats;
+    terms.push_back(cross_entropy_rows(head_->logits(concat_rows(rows)), targets));
+  };
+  return run_adapt({.name = "abr",
+                    .adapter = *this,
+                    .llm = *llm_,
+                    .train_backbone = cfg_.train_backbone,
+                    .step_loss = [&](core::Rng& rng) {
+                      std::vector<Tensor> terms;
+                      for (int b = 0; b < kBatch; ++b) add_window(rng, terms);
+                      return terms;
+                    }},
+                   steps, lr, seed, session);
 }
 
-
-std::vector<Tensor> AbrAdapter::adapt_parameters() const {
-  auto params = trainable_parameters();
-  if (cfg_.train_backbone) {
-    llm_->unfreeze();
-    for (auto& p : llm_->trainable_parameters()) params.push_back(p);
-  }
-  return params;
-}
 void AbrAdapter::collect_params(NamedParams& out, const std::string& prefix) const {
   rtg_encoder_->collect_params(out, prefix + "rtg_encoder.");
   tp_encoder_->collect_params(out, prefix + "tp_encoder.");

@@ -71,11 +71,8 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   int choose_level(const abr::Observation& obs) override;
   void observe_result(const abr::ChunkResult& result, double chunk_qoe) override;
 
-  using AdaptStats = ::netllm::adapt::AdaptStats;
-  /// The Adapt API: offline fine-tuning on the experience pool (Eq. 4).
-  /// Resilient to non-finite losses/gradients and parameter corruption
-  /// (see TrainGuard). With `session.dir` set the run is durable: periodic
-  /// checkpoints, clean SIGINT/SIGTERM drain, bitwise-identical resume.
+  /// The Adapt API: offline fine-tuning on the experience pool (Eq. 4) —
+  /// one `run_adapt` (session.hpp).
   AdaptStats adapt(std::span<const AbrTrajectory> pool, int steps, float lr,
                    std::uint64_t seed, const SessionOptions& session = {});
 
@@ -93,10 +90,6 @@ class AbrAdapter final : public nn::Module, public abr::AbrPolicy {
   void set_target_return(float target) { target_return_ = target; }
 
   static constexpr int kLevels = 6;
-
- /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
-  /// backbone when cfg.train_backbone is set.
-  std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
   struct WindowTokens {

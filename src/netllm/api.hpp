@@ -40,27 +40,34 @@ struct AdaptOptions {
 };
 
 namespace detail {
-/// Snapshot saves are atomic (tmp + fsync + rename) and retried with capped
-/// exponential backoff, so a finished adaptation is not lost to a transient
-/// I/O failure.
-inline void save_snapshot(const nn::Module& adapter, const std::string& path) {
-  tensor::save_params_retry(path, adapter.named_parameters());
-}
-
-inline SessionOptions session_options(const AdaptOptions& opts) {
-  return SessionOptions{opts.session_dir, opts.checkpoint_every, opts.keep_last,
-                        /*handle_signals=*/true};
-}
-
-/// Resume requires evidence of an interrupted run: a fresh `Adapt` on a
-/// mistyped directory should not silently train from scratch.
-inline void require_session(const AdaptOptions& opts) {
-  if (opts.session_dir.empty()) {
+/// The `Adapt` body shared by the three tasks: build the adapter, quantize
+/// its backbone for serving when asked, adapt, save the snapshot.
+template <typename Adapter, typename Data, typename Config>
+std::shared_ptr<Adapter> adapt(std::shared_ptr<llm::MiniGpt> llm, std::span<const Data> data,
+                               const Config& cfg, const AdaptOptions& opts, core::Rng& rng,
+                               bool resume = false) {
+  // Resume requires evidence of an interrupted run: a fresh `Adapt` on a
+  // mistyped directory should not silently train from scratch.
+  if (resume && opts.session_dir.empty()) {
     throw std::invalid_argument("Resume: AdaptOptions::session_dir is empty");
   }
-  if (!TrainSession::latest_step(opts.session_dir)) {
+  if (resume && !TrainSession::latest_step(opts.session_dir)) {
     throw std::invalid_argument("Resume: no checkpoint found in " + opts.session_dir);
   }
+  auto adapter = std::make_shared<Adapter>(std::move(llm), cfg, rng);
+  if (opts.backbone_dtype != tensor::quant::Dtype::kF32) {
+    adapter->llm_shared()->quantize_backbone(opts.backbone_dtype);
+  }
+  adapter->adapt(data, opts.steps, opts.lr, opts.seed,
+                 SessionOptions{opts.session_dir, opts.checkpoint_every, opts.keep_last,
+                                /*handle_signals=*/true});
+  // Snapshot saves are atomic (tmp + fsync + rename) and retried with capped
+  // exponential backoff, so a finished adaptation is not lost to a transient
+  // I/O failure.
+  if (!opts.snapshot_path.empty()) {
+    tensor::save_params_retry(opts.snapshot_path, adapter->named_parameters());
+  }
+  return adapter;
 }
 }  // namespace detail
 
@@ -70,13 +77,7 @@ inline std::shared_ptr<VpAdapter> Adapt(std::shared_ptr<llm::MiniGpt> llm,
                                         std::span<const vp::VpSample> dataset,
                                         const VpAdapterConfig& cfg, const AdaptOptions& opts,
                                         core::Rng& rng) {
-  auto adapter = std::make_shared<VpAdapter>(std::move(llm), cfg, rng);
-  if (opts.backbone_dtype != tensor::quant::Dtype::kF32) {
-    adapter->llm_shared()->quantize_backbone(opts.backbone_dtype);
-  }
-  adapter->adapt(dataset, opts.steps, opts.lr, opts.seed, detail::session_options(opts));
-  if (!opts.snapshot_path.empty()) detail::save_snapshot(*adapter, opts.snapshot_path);
-  return adapter;
+  return detail::adapt<VpAdapter>(std::move(llm), dataset, cfg, opts, rng);
 }
 
 /// Continue an interrupted VP adaptation from `opts.session_dir`; throws
@@ -86,8 +87,7 @@ inline std::shared_ptr<VpAdapter> Resume(std::shared_ptr<llm::MiniGpt> llm,
                                          std::span<const vp::VpSample> dataset,
                                          const VpAdapterConfig& cfg, const AdaptOptions& opts,
                                          core::Rng& rng) {
-  detail::require_session(opts);
-  return Adapt(std::move(llm), dataset, cfg, opts, rng);
+  return detail::adapt<VpAdapter>(std::move(llm), dataset, cfg, opts, rng, /*resume=*/true);
 }
 
 /// Mean MAE of any VP predictor on the environments of a Table 2 setting.
@@ -110,23 +110,15 @@ inline std::shared_ptr<AbrAdapter> Adapt(std::shared_ptr<llm::MiniGpt> llm,
                                          std::span<const AbrTrajectory> pool,
                                          const AbrAdapterConfig& cfg, const AdaptOptions& opts,
                                          core::Rng& rng) {
-  auto adapter = std::make_shared<AbrAdapter>(std::move(llm), cfg, rng);
-  if (opts.backbone_dtype != tensor::quant::Dtype::kF32) {
-    adapter->llm_shared()->quantize_backbone(opts.backbone_dtype);
-  }
-  adapter->adapt(pool, opts.steps, opts.lr, opts.seed, detail::session_options(opts));
-  if (!opts.snapshot_path.empty()) detail::save_snapshot(*adapter, opts.snapshot_path);
-  return adapter;
+  return detail::adapt<AbrAdapter>(std::move(llm), pool, cfg, opts, rng);
 }
 
-/// Continue an interrupted ABR adaptation from `opts.session_dir` (see the
-/// VP overload for the contract).
+/// Continue an interrupted ABR adaptation (see the VP overload).
 inline std::shared_ptr<AbrAdapter> Resume(std::shared_ptr<llm::MiniGpt> llm,
                                           std::span<const AbrTrajectory> pool,
                                           const AbrAdapterConfig& cfg, const AdaptOptions& opts,
                                           core::Rng& rng) {
-  detail::require_session(opts);
-  return Adapt(std::move(llm), pool, cfg, opts, rng);
+  return detail::adapt<AbrAdapter>(std::move(llm), pool, cfg, opts, rng, /*resume=*/true);
 }
 
 /// Mean QoE of any ABR policy on the environments of a Table 3 setting.
@@ -148,23 +140,15 @@ inline std::shared_ptr<CjsAdapter> Adapt(std::shared_ptr<llm::MiniGpt> llm,
                                          std::span<const CjsTrajectory> pool,
                                          const CjsAdapterConfig& cfg, const AdaptOptions& opts,
                                          core::Rng& rng) {
-  auto adapter = std::make_shared<CjsAdapter>(std::move(llm), cfg, rng);
-  if (opts.backbone_dtype != tensor::quant::Dtype::kF32) {
-    adapter->llm_shared()->quantize_backbone(opts.backbone_dtype);
-  }
-  adapter->adapt(pool, opts.steps, opts.lr, opts.seed, detail::session_options(opts));
-  if (!opts.snapshot_path.empty()) detail::save_snapshot(*adapter, opts.snapshot_path);
-  return adapter;
+  return detail::adapt<CjsAdapter>(std::move(llm), pool, cfg, opts, rng);
 }
 
-/// Continue an interrupted CJS adaptation from `opts.session_dir` (see the
-/// VP overload for the contract).
+/// Continue an interrupted CJS adaptation (see the VP overload).
 inline std::shared_ptr<CjsAdapter> Resume(std::shared_ptr<llm::MiniGpt> llm,
                                           std::span<const CjsTrajectory> pool,
                                           const CjsAdapterConfig& cfg, const AdaptOptions& opts,
                                           core::Rng& rng) {
-  detail::require_session(opts);
-  return Adapt(std::move(llm), pool, cfg, opts, rng);
+  return detail::adapt<CjsAdapter>(std::move(llm), pool, cfg, opts, rng, /*resume=*/true);
 }
 
 /// Mean JCT of any scheduler on a Table 4 workload setting.

@@ -1,21 +1,13 @@
 #include "netllm/cjs_adapter.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "core/fault.hpp"
-#include "core/metrics.hpp"
-#include "core/timer.hpp"
 #include "core/trace.hpp"
-#include "netllm/resilience.hpp"
-#include "tensor/optim.hpp"
 
 namespace netllm::adapt {
 
-namespace {
 using namespace netllm::tensor;
-}  // namespace
 
 std::vector<CjsTrajectory> collect_cjs_experience(cjs::SchedPolicy& collector,
                                                   const cjs::WorkloadConfig& base, int episodes,
@@ -126,83 +118,27 @@ cjs::SchedAction CjsAdapter::choose(const cjs::SchedObservation& obs) {
   return action;
 }
 
-CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, int steps,
-                                         float lr, std::uint64_t seed,
-                                         const SessionOptions& session) {
-  if (pool.empty()) throw std::invalid_argument("CjsAdapter::adapt: empty pool");
-  // Train on the fp32 masters (see VpAdapter::adapt); requantize on exit.
-  llm::ScopedQuantPause quant_pause(*llm_);
-  core::Rng rng(seed);
-  // Returns-to-go per decision; fit the normalisation scale and target.
-  std::vector<std::vector<float>> rtg(pool.size());
-  double mean_abs_return = 0.0;
-  float best_return = -1e30f;
-  int counted = 0;
-  for (std::size_t t = 0; t < pool.size(); ++t) {
-    rtg[t].resize(pool[t].size());
-    float g = 0.0f;
-    for (std::size_t i = pool[t].size(); i-- > 0;) {
-      g += static_cast<float>(pool[t][i].reward);
-      rtg[t][i] = g;
-    }
-    if (!pool[t].empty()) {
-      mean_abs_return += std::abs(rtg[t][0]);
-      best_return = std::max(best_return, rtg[t][0]);
-      ++counted;
-    }
-  }
-  if (counted == 0) throw std::invalid_argument("CjsAdapter::adapt: empty trajectories");
-  return_scale_ = std::max(1.0f, static_cast<float>(mean_abs_return / counted));
-  target_return_ = best_return * cfg_.target_return_boost;
-
-  // Return-weighted trajectory sampling (see AbrAdapter::adapt): favour
-  // high-return episodes while RTG conditioning keeps the contrast signal.
-  std::vector<double> sample_weights(pool.size(), 1.0);
-  {
-    float g_min = 1e30f, g_max = -1e30f;
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      if (pool[t].empty()) continue;
-      g_min = std::min(g_min, rtg[t][0]);
-      g_max = std::max(g_max, rtg[t][0]);
-    }
-    const float temp = std::max((g_max - g_min) / 8.0f, 1e-3f);
-    for (std::size_t t = 0; t < pool.size(); ++t) {
-      sample_weights[t] =
-          pool[t].empty() ? 0.0 : std::exp(static_cast<double>((rtg[t][0] - g_max) / temp));
-    }
-  }
-
-  Adam opt(adapt_parameters(), lr);  // unfreezes the backbone when it trains too
-  TrainGuard guard(opt.params());
-  AdaptStats stats;
-  TrainSession sess(session, SessionFingerprint{"cjs", llm_->config().name, seed, lr, steps},
-                    session_params(*this, cfg_.train_backbone ? llm_.get() : nullptr), opt,
-                    guard);
-  const int start = sess.resume(rng, stats);
-  const double prior_s = stats.seconds;  // wall time from interrupted runs
-  auto& step_hist = core::metrics::histogram("adapt.cjs.step_ms");
-  auto& step_count = core::metrics::counter("adapt.cjs.steps");
-  core::Timer timer;
+AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, int steps, float lr,
+                            std::uint64_t seed, const SessionOptions& session) {
+  // Fit the return normalisation scale and the inference target.
+  const auto dt = make_dt_pool(pool, "CjsAdapter");
+  return_scale_ = std::max(1.0f, static_cast<float>(dt.mean_abs_return));
+  target_return_ = dt.best_return * cfg_.target_return_boost;
   const auto w = static_cast<std::size_t>(cfg_.context_window);
-  for (int step = start; step < steps; ++step) {
-    core::Timer step_timer;
-    opt.set_lr(lr * (1.0f - 0.7f * static_cast<float>(step) / static_cast<float>(steps)));
-    const auto traj_idx = rng.weighted_choice(sample_weights);
+  const auto step_loss = [&](core::Rng& rng) -> std::vector<Tensor> {
+    const auto traj_idx = rng.weighted_choice(dt.weights);
     const auto& traj = pool[traj_idx];
-    if (traj.empty()) continue;
+    if (traj.empty()) return {};
     const auto span_len = std::min(w, traj.size());
     const auto start = static_cast<std::size_t>(
         rng.randint(0, static_cast<std::int64_t>(traj.size() - span_len)));
     std::vector<StepContext> window_steps;
     window_steps.reserve(span_len);
-    std::vector<cjs::SchedAction> targets;
-    targets.reserve(span_len);
     for (std::size_t i = 0; i < span_len; ++i) {
       StepContext sc;
       sc.obs = traj[start + i].obs;
       sc.action = traj[start + i].action;
-      sc.rtg = rtg[traj_idx][start + i];
-      targets.push_back(sc.action);
+      sc.rtg = dt.rtg[traj_idx][start + i];
       // Action-context dropout (see AbrAdapter::adapt): perturb the context
       // action tokens so the model reads the DAG state instead of copying.
       if (rng.bernoulli(0.25)) {
@@ -212,61 +148,32 @@ CjsAdapter::AdaptStats CjsAdapter::adapt(std::span<const CjsTrajectory> pool, in
       }
       window_steps.push_back(std::move(sc));
     }
-    opt.zero_grad();
     auto window = build_window(window_steps, /*open_last=*/false);
     auto features = llm_->forward_embeddings(window.sequence);
     std::vector<Tensor> losses;
     std::vector<Tensor> cap_rows;
     std::vector<int> cap_targets;
     for (std::size_t i = 0; i < window_steps.size(); ++i) {
+      const auto& target = traj[start + i].action;  // before action-context dropout
       auto feature = slice_rows(features, window.predict_positions[i], 1);
       auto stage_logits = stage_head_->logits(feature, window.candidates[i]);
-      const int stage_target[] = {targets[i].runnable_index};
+      const int stage_target[] = {target.runnable_index};
       losses.push_back(cross_entropy_rows(stage_logits, stage_target));
       cap_rows.push_back(feature);
-      cap_targets.push_back(targets[i].cap_choice);
+      cap_targets.push_back(target.cap_choice);
     }
     auto cap_logits = cap_head_->logits(concat_rows(cap_rows));
     losses.push_back(cross_entropy_rows(cap_logits, cap_targets));
-    auto loss = scale(add_n(losses), 1.0f / static_cast<float>(losses.size()));
-    core::fault::corrupt("adapter.step", loss.mutable_data());
-    const float lv = loss.item();
-    if (guard.loss_ok(lv)) {
-      if (step == 0) stats.initial_loss = lv;
-      stats.final_loss = lv;
-      loss.backward();
-      if (guard.grads_ok()) {
-        opt.clip_grad_norm(1.0);
-        opt.step();
-        guard.after_step();
-      } else {
-        opt.zero_grad();  // poisoned gradients: drop the step
-      }
-    }
-    stats.seconds = prior_s + timer.elapsed_s();
-    stats.skipped_steps = guard.skipped_steps();
-    stats.restores = guard.restores();
-    step_hist.record(step_timer.elapsed_ms());
-    step_count.add();
-    if (sess.after_step(step, rng, stats)) break;  // drained on SIGINT/SIGTERM
-  }
-  stats.seconds = prior_s + timer.elapsed_s();
-  stats.skipped_steps = guard.skipped_steps();
-  stats.restores = guard.restores();
-  if (!stats.interrupted) sess.finish(steps, rng, stats);
-  stats.checkpoints = sess.checkpoints_written();
-  return stats;
+    return {scale(add_n(losses), 1.0f / static_cast<float>(losses.size()))};
+  };
+  return run_adapt({.name = "cjs",
+                    .adapter = *this,
+                    .llm = *llm_,
+                    .train_backbone = cfg_.train_backbone,
+                    .step_loss = step_loss},
+                   steps, lr, seed, session);
 }
 
-
-std::vector<Tensor> CjsAdapter::adapt_parameters() const {
-  auto params = trainable_parameters();
-  if (cfg_.train_backbone) {
-    llm_->unfreeze();
-    for (auto& p : llm_->trainable_parameters()) params.push_back(p);
-  }
-  return params;
-}
 void CjsAdapter::collect_params(NamedParams& out, const std::string& prefix) const {
   rtg_encoder_->collect_params(out, prefix + "rtg_encoder.");
   graph_encoder_->collect_params(out, prefix + "graph_encoder.");

@@ -53,11 +53,8 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   cjs::SchedAction choose(const cjs::SchedObservation& obs) override;
   void observe_reward(double reward) override;
 
-  using AdaptStats = ::netllm::adapt::AdaptStats;
-  /// Offline fine-tuning (Eq. 4). Resilient to non-finite losses/gradients
-  /// and parameter corruption (see TrainGuard). With `session.dir` set the
-  /// run is durable: periodic checkpoints, clean SIGINT/SIGTERM drain,
-  /// bitwise-identical resume.
+  /// The Adapt API: offline fine-tuning on the experience pool (Eq. 4) —
+  /// one `run_adapt` (session.hpp).
   AdaptStats adapt(std::span<const CjsTrajectory> pool, int steps, float lr,
                    std::uint64_t seed, const SessionOptions& session = {});
 
@@ -75,10 +72,6 @@ class CjsAdapter final : public nn::Module, public cjs::SchedPolicy {
   void set_target_return(float target) { target_return_ = target; }
   float return_scale() const { return return_scale_; }
   void set_return_scale(float scale) { return_scale_ = scale; }
-
- /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
-  /// backbone when cfg.train_backbone is set.
-  std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
   static constexpr int kTokensPerStep = 5;

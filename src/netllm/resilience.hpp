@@ -1,11 +1,11 @@
 // Training resilience for the Adapt pipelines: NaN/Inf escaping a training
-// step must not poison the adapted model. `TrainGuard` watches one
-// adaptation loop — it vetoes steps whose loss or gradients are non-finite,
-// scans the optimised parameters after every applied step, and restores a
-// periodically refreshed in-memory last-good snapshot when corruption lands
-// in the weights anyway.
+// step must not poison the adapted model. `TrainGuard` watches the
+// adaptation loop (`run_adapt`, session.hpp) — it vetoes steps whose loss or
+// gradients are non-finite, scans the optimised parameters after every
+// applied step, and restores a periodically refreshed in-memory last-good
+// snapshot when corruption lands in the weights anyway.
 //
-// Skip/restore totals are mirrored into the `core::stats` named counters
+// Skip/restore totals are also counted in the `core::metrics` registry
 // ("adapt.skipped_steps", "adapt.restores") for bench reports.
 #pragma once
 

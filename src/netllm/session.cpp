@@ -10,7 +10,9 @@
 
 #include "core/fault.hpp"
 #include "core/metrics.hpp"
+#include "core/timer.hpp"
 #include "core/trace.hpp"
+#include "tensor/optim.hpp"
 
 namespace netllm::adapt {
 
@@ -151,6 +153,15 @@ tensor::NamedParams session_params(const nn::Module& adapter, const nn::Module* 
     for (auto& [name, t] : backbone->named_parameters("llm.")) out.emplace_back(name, t);
   }
   return out;
+}
+
+std::vector<tensor::Tensor> adapt_parameters(const nn::Module& adapter, nn::Module* backbone) {
+  auto params = adapter.trainable_parameters();
+  if (backbone) {
+    backbone->unfreeze();
+    for (auto& p : backbone->trainable_parameters()) params.push_back(p);
+  }
+  return params;
 }
 
 TrainSession::TrainSession(const SessionOptions& opts, SessionFingerprint fp,
@@ -313,6 +324,69 @@ void TrainSession::finish(int total_steps, core::Rng& rng, const AdaptStats& sta
   // Best-effort final checkpoint: the run already completed; a failure here
   // only costs the "resume as already-done" convenience.
   checkpoint(total_steps, rng, stats, /*must_succeed=*/false);
+}
+
+AdaptStats run_adapt(const AdaptTask& task, int steps, float lr, std::uint64_t seed,
+                     const SessionOptions& session) {
+  // Training always runs on the fp32 masters: pause the quantized forward
+  // for the whole loop so losses, gradients and checkpoints are bitwise
+  // those of an fp32-backbone run, and requantize on the way out.
+  llm::ScopedQuantPause quant_pause(task.llm);
+  core::Rng rng(seed);
+  nn::Module* backbone = task.train_backbone ? &task.llm : nullptr;
+  tensor::Adam opt(adapt_parameters(task.adapter, backbone), lr);
+  TrainGuard guard(opt.params());
+  AdaptStats stats;
+  TrainSession sess(session, SessionFingerprint{task.name, task.llm.config().name, seed, lr, steps},
+                    session_params(task.adapter, backbone), opt, guard);
+  const int start = sess.resume(rng, stats);
+  const double prior_s = stats.seconds;  // wall time from interrupted runs
+  auto& step_hist = core::metrics::histogram("adapt." + task.name + ".step_ms");
+  auto& step_count = core::metrics::counter("adapt." + task.name + ".steps");
+  core::Timer timer;
+  const auto sync_stats = [&] {
+    stats.seconds = prior_s + timer.elapsed_s();
+    stats.skipped_steps = guard.skipped_steps();
+    stats.restores = guard.restores();
+  };
+  // A resumed run keeps the checkpoint's initial loss; a fresh one records
+  // the first loss that passes the guard, even when step 0 was vetoed.
+  bool initial_recorded = start > 0;
+  for (int step = start; step < steps; ++step) {
+    core::Timer step_timer;
+    // Linear learning-rate decay to 30% — stabilises the late phase of the
+    // offline fit without a separate schedule object.
+    opt.set_lr(lr * (1.0f - 0.7f * static_cast<float>(step) / static_cast<float>(steps)));
+    opt.zero_grad();
+    auto terms = task.step_loss(rng);
+    const auto n_terms = static_cast<float>(terms.size());
+    float loss = 0.0f;
+    for (auto& term : terms) {
+      core::fault::corrupt("adapter.step", term.mutable_data());
+      loss += term.item() / n_terms;
+    }
+    if (!terms.empty() && guard.loss_ok(loss)) {
+      if (!initial_recorded) stats.initial_loss = loss;
+      initial_recorded = true;
+      stats.final_loss = loss;
+      for (auto& term : terms) tensor::scale(term, 1.0f / n_terms).backward();
+      if (guard.grads_ok()) {
+        opt.clip_grad_norm(1.0);
+        opt.step();
+        guard.after_step();
+      } else {
+        opt.zero_grad();  // poisoned gradients: drop the step
+      }
+    }
+    sync_stats();
+    step_hist.record(step_timer.elapsed_ms());
+    step_count.add();
+    if (sess.after_step(step, rng, stats)) break;  // drained on SIGINT/SIGTERM
+  }
+  sync_stats();
+  if (!stats.interrupted) sess.finish(steps, rng, stats);
+  stats.checkpoints = sess.checkpoints_written();
+  return stats;
 }
 
 }  // namespace netllm::adapt

@@ -1,5 +1,8 @@
-// Durable training sessions: crash-safe checkpoint/resume for the three
-// `adapt()` loops (VP / ABR / CJS).
+// The one DD-LRNA training loop behind the VP / ABR / CJS `adapt()` APIs,
+// and the durable sessions that make it crash-safe. `run_adapt` owns the
+// Adapt loop (paper §4.3, Fig. 9) — optimizer, lr decay, TrainGuard veto
+// chain, metrics, checkpoint/resume/drain; a task supplies one callback that
+// draws its samples from the loop's Rng and returns the step's loss terms.
 //
 // DD-LRNA's offline adaptation runs for thousands of steps over a
 // pre-collected experience pool — in production that job must survive
@@ -28,18 +31,23 @@
 // a drain checkpoint (retried, must succeed) and returns cleanly with
 // `AdaptStats::interrupted` set.
 //
-// Fault-injection site: "session.checkpoint" (fires before each checkpoint
-// write attempt).
+// Fault-injection sites: "adapter.step" (corrupts each loss term of a step)
+// and "session.checkpoint" (fires before each checkpoint write attempt).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "core/signal.hpp"
+#include "llm/minigpt.hpp"
 #include "netllm/resilience.hpp"
 #include "nn/module.hpp"
 #include "tensor/optim.hpp"
@@ -94,6 +102,11 @@ struct SessionFingerprint {
 /// full-FT resume would lose the backbone updates.
 tensor::NamedParams session_params(const nn::Module& adapter, const nn::Module* backbone);
 
+/// Parameters the Adapt API optimises: the adapter's trainable ones (encoder
+/// + head + LoRA), plus the backbone's when it trains too — which unfreezes
+/// it. Same order as the trainable subset of `session_params`.
+std::vector<tensor::Tensor> adapt_parameters(const nn::Module& adapter, nn::Module* backbone);
+
 class TrainSession {
  public:
   /// Binds a session to one adapt() run's state. `params` is the checkpoint
@@ -142,5 +155,69 @@ class TrainSession {
   int last_saved_step_ = 0;
   int checkpoints_ = 0;
 };
+
+/// One task's side of the Adapt loop.
+struct AdaptTask {
+  std::string name;  // "vp" | "abr" | "cjs": fingerprint + adapt.<name>.* metrics
+  nn::Module& adapter;
+  llm::MiniGpt& llm;
+  bool train_backbone = false;
+  /// Draws the step's samples from the loop's Rng and returns its loss terms
+  /// (ABR: one per window), one "adapter.step" fault-site hit each. The step
+  /// loss is their mean; no terms: no update this step.
+  std::function<std::vector<tensor::Tensor>(core::Rng&)> step_loss;
+};
+
+/// The DD-LRNA training loop: `steps` optimizer steps of `task`, seeded by
+/// `seed`. Poisoned steps are skipped and corrupted parameters restored
+/// (TrainGuard); with `session.dir` set the run checkpoints, drains on
+/// SIGINT/SIGTERM and resumes bitwise-identically.
+AdaptStats run_adapt(const AdaptTask& task, int steps, float lr, std::uint64_t seed,
+                     const SessionOptions& session);
+
+/// Decision-transformer view of an RL experience pool.
+struct DtPool {
+  std::vector<std::vector<float>> rtg;  // returns-to-go, aligned with the pool
+  std::vector<double> weights;          // trajectory sampling weights; 0 = empty
+  float best_return = -1e30f;
+  double mean_abs_return = 0.0;  // over non-empty trajectories
+};
+
+/// Returns-to-go and return-weighted sampling for `pool` (trajectories of
+/// steps with a `reward`): high-return behaviour is seen more often (softmax
+/// over episode returns), while RTG conditioning still lets the model tell
+/// good from bad actions within a window. Throws std::invalid_argument
+/// naming `who` when no trajectory has a step to train on.
+template <typename Trajectory>
+DtPool make_dt_pool(std::span<const Trajectory> pool, const std::string& who) {
+  if (pool.empty()) throw std::invalid_argument(who + "::adapt: empty pool");
+  DtPool out;
+  out.rtg.resize(pool.size());
+  float g_min = 1e30f;
+  int counted = 0;
+  for (std::size_t t = 0; t < pool.size(); ++t) {
+    float g = 0.0f;
+    out.rtg[t].resize(pool[t].size());
+    for (std::size_t i = pool[t].size(); i-- > 0;) {
+      g += static_cast<float>(pool[t][i].reward);
+      out.rtg[t][i] = g;
+    }
+    if (pool[t].empty()) continue;
+    out.mean_abs_return += std::abs(out.rtg[t][0]);
+    out.best_return = std::max(out.best_return, out.rtg[t][0]);
+    g_min = std::min(g_min, out.rtg[t][0]);
+    ++counted;
+  }
+  if (counted == 0) throw std::invalid_argument(who + "::adapt: empty trajectories");
+  out.mean_abs_return /= counted;
+  const float temp = std::max((out.best_return - g_min) / 8.0f, 1e-3f);
+  out.weights.resize(pool.size());
+  for (std::size_t t = 0; t < pool.size(); ++t) {
+    out.weights[t] = pool[t].empty()
+                         ? 0.0
+                         : std::exp(static_cast<double>((out.rtg[t][0] - out.best_return) / temp));
+  }
+  return out;
+}
 
 }  // namespace netllm::adapt

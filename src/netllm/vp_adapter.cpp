@@ -3,12 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/fault.hpp"
-#include "core/metrics.hpp"
-#include "core/timer.hpp"
 #include "core/trace.hpp"
-#include "netllm/resilience.hpp"
-#include "tensor/optim.hpp"
 
 namespace netllm::adapt {
 
@@ -189,71 +184,20 @@ std::vector<vp::Viewport> VpAdapter::predict_uncached(std::span<const vp::Viewpo
   return rollout;
 }
 
-VpAdapter::AdaptStats VpAdapter::adapt(std::span<const vp::VpSample> dataset, int steps,
-                                       float lr, std::uint64_t seed,
-                                       const SessionOptions& session) {
+AdaptStats VpAdapter::adapt(std::span<const vp::VpSample> dataset, int steps, float lr,
+                            std::uint64_t seed, const SessionOptions& session) {
   if (dataset.empty()) throw std::invalid_argument("VpAdapter::adapt: empty dataset");
-  // Training always runs on the fp32 masters: pause the quantized forward
-  // for the whole loop so losses, gradients and checkpoints are bitwise
-  // those of an fp32-backbone run, and requantize on the way out.
-  llm::ScopedQuantPause quant_pause(*llm_);
-  core::Rng rng(seed);
-  Adam opt(adapt_parameters(), lr);  // unfreezes the backbone when it trains too
-  TrainGuard guard(opt.params());
-  AdaptStats stats;
-  TrainSession sess(session, SessionFingerprint{"vp", llm_->config().name, seed, lr, steps},
-                    session_params(*this, cfg_.train_backbone ? llm_.get() : nullptr), opt,
-                    guard);
-  const int start = sess.resume(rng, stats);
-  const double prior_s = stats.seconds;  // wall time from interrupted runs
-  auto& step_hist = core::metrics::histogram("adapt.vp.step_ms");
-  auto& step_count = core::metrics::counter("adapt.vp.steps");
-  core::Timer timer;
-  for (int step = start; step < steps; ++step) {
-    core::Timer step_timer;
-    opt.set_lr(lr * (1.0f - 0.7f * static_cast<float>(step) / static_cast<float>(steps)));
-    const auto& sample =
-        dataset[static_cast<std::size_t>(rng.randint(0, static_cast<std::int64_t>(dataset.size()) - 1))];
-    opt.zero_grad();
-    auto l = loss(sample);
-    core::fault::corrupt("adapter.step", l.mutable_data());
-    const float lv = l.item();
-    if (guard.loss_ok(lv)) {
-      if (step == 0) stats.initial_loss = lv;
-      stats.final_loss = lv;
-      l.backward();
-      if (guard.grads_ok()) {
-        opt.clip_grad_norm(1.0);
-        opt.step();
-        guard.after_step();
-      } else {
-        opt.zero_grad();  // poisoned gradients: drop the step
-      }
-    }
-    stats.seconds = prior_s + timer.elapsed_s();
-    stats.skipped_steps = guard.skipped_steps();
-    stats.restores = guard.restores();
-    step_hist.record(step_timer.elapsed_ms());
-    step_count.add();
-    if (sess.after_step(step, rng, stats)) break;  // drained on SIGINT/SIGTERM
-  }
-  stats.seconds = prior_s + timer.elapsed_s();
-  stats.skipped_steps = guard.skipped_steps();
-  stats.restores = guard.restores();
-  if (!stats.interrupted) sess.finish(steps, rng, stats);
-  stats.checkpoints = sess.checkpoints_written();
-  return stats;
+  const auto last = static_cast<std::int64_t>(dataset.size()) - 1;
+  return run_adapt({.name = "vp",
+                    .adapter = *this,
+                    .llm = *llm_,
+                    .train_backbone = cfg_.train_backbone,
+                    .step_loss = [&](core::Rng& rng) -> std::vector<Tensor> {
+                      return {loss(dataset[static_cast<std::size_t>(rng.randint(0, last))])};
+                    }},
+                   steps, lr, seed, session);
 }
 
-
-std::vector<Tensor> VpAdapter::adapt_parameters() const {
-  auto params = trainable_parameters();
-  if (cfg_.train_backbone) {
-    llm_->unfreeze();
-    for (auto& p : llm_->trainable_parameters()) params.push_back(p);
-  }
-  return params;
-}
 void VpAdapter::collect_params(NamedParams& out, const std::string& prefix) const {
   image_encoder_->collect_params(out, prefix + "image_encoder.");
   viewport_encoder_->collect_params(out, prefix + "viewport_encoder.");

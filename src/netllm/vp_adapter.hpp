@@ -66,14 +66,8 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
   /// Teacher-forced SL loss for one sample (Eq. 1 with MSE).
   tensor::Tensor loss(const vp::VpSample& sample) const;
 
-  using AdaptStats = ::netllm::adapt::AdaptStats;
   /// The `Adapt` API (Fig. 9): fine-tune encoder + head + LoRA over the
-  /// dataset; the LLM backbone stays frozen throughout. Resilient to
-  /// non-finite losses/gradients (poisoned steps are skipped) and to
-  /// parameter corruption (restored from a periodic in-memory snapshot).
-  /// With `session.dir` set the run is durable: it checkpoints periodically,
-  /// drains cleanly on SIGINT/SIGTERM, and resumes bitwise-identically (see
-  /// session.hpp).
+  /// dataset with the backbone frozen — one `run_adapt` (session.hpp).
   AdaptStats adapt(std::span<const vp::VpSample> dataset, int steps, float lr,
                    std::uint64_t seed, const SessionOptions& session = {});
 
@@ -85,10 +79,6 @@ class VpAdapter final : public nn::Module, public vp::VpPredictor {
   /// Shared handle for callers that reconfigure the backbone in place
   /// (quantization) — the adapter stays the owner of record.
   std::shared_ptr<llm::MiniGpt> llm_shared() const { return llm_; }
-
- /// Parameters the Adapt API optimises: encoder + head + LoRA, plus the
-  /// backbone when cfg.train_backbone is set.
-  std::vector<tensor::Tensor> adapt_parameters() const;
 
  private:
   tensor::Tensor viewport_token(const vp::Viewport& v) const;

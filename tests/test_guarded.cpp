@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "baselines/abr/rule_based.hpp"
@@ -23,6 +24,8 @@
 #include "llm/tokenizer.hpp"
 #include "netllm/api.hpp"
 
+#include "adapt_cases.hpp"
+
 namespace ad = netllm::adapt;
 namespace abr = netllm::abr;
 namespace cjs = netllm::cjs;
@@ -31,32 +34,15 @@ namespace fault = netllm::core::fault;
 namespace metrics = netllm::core::metrics;
 namespace serve = netllm::serve;
 using netllm::core::Rng;
+using namespace adapt_cases;
 
 namespace {
-
-std::shared_ptr<netllm::llm::MiniGpt> tiny_llm(std::uint64_t seed = 1) {
-  netllm::llm::MiniGptConfig cfg;
-  cfg.vocab = netllm::llm::Tokenizer().vocab_size();
-  cfg.d_model = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 1;
-  cfg.d_ff = 32;
-  cfg.max_seq = 112;
-  Rng rng(seed);
-  return std::make_shared<netllm::llm::MiniGpt>(cfg, rng);
-}
 
 ad::VpAdapterConfig tiny_vp_cfg() {
   ad::VpAdapterConfig cfg;
   cfg.lora_rank = 2;
   cfg.lora_alpha = 4.0f;
   return cfg;
-}
-
-std::vector<vp::VpSample> tiny_vp_data(int max_samples = 10) {
-  auto setting = vp::vp_default_train();
-  setting.num_traces = 1;
-  return vp::build_dataset(setting, max_samples);
 }
 
 class Guarded : public ::testing::Test {
@@ -308,7 +294,7 @@ TEST_F(Guarded, WrapperAndEngineRunTheSameStateMachine) {
 
 TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {
   Rng rng(21);
-  auto data = tiny_vp_data();
+  auto data = vp_data(10);
   auto adapter = std::make_shared<ad::VpAdapter>(tiny_llm(), tiny_vp_cfg(), rng);
   auto guarded = ad::api::Guard(std::static_pointer_cast<vp::VpPredictor>(adapter));
   EXPECT_NE(guarded->name().find("Guarded("), std::string::npos);
@@ -331,7 +317,7 @@ TEST_F(Guarded, VpFallsBackToFiniteViewportsUnderNanFeatures) {
 
 TEST_F(Guarded, VpLatencyOverrunTriggersFallback) {
   Rng rng(22);
-  auto data = tiny_vp_data();
+  auto data = vp_data(10);
   auto adapter = std::make_shared<ad::VpAdapter>(tiny_llm(), tiny_vp_cfg(), rng);
   ad::GuardConfig cfg;
   cfg.latency_budget_ms = 2.0;
@@ -348,7 +334,7 @@ TEST_F(Guarded, VpLatencyOverrunTriggersFallback) {
 
 TEST_F(Guarded, VpBreakerRecoversOnceFaultClears) {
   Rng rng(23);
-  auto data = tiny_vp_data();
+  auto data = vp_data(10);
   auto adapter = std::make_shared<ad::VpAdapter>(tiny_llm(), tiny_vp_cfg(), rng);
   ad::GuardConfig cfg;
   cfg.breaker_threshold = 3;
@@ -423,32 +409,54 @@ TEST_F(Guarded, CjsCompletesWorkloadUnderNanLogits) {
 
 // ---------- training resilience ----------
 
-TEST_F(Guarded, AdaptSkipsPoisonedLossSteps) {
+/// (task, hits before the poisoned loss).
+class GuardedPoison : public Guarded,
+                      public ::testing::WithParamInterface<std::tuple<Task, int>> {};
+
+TEST_P(GuardedPoison, AdaptSkipsPoisonedLossSteps) {
+  const auto [task, after] = GetParam();
   Rng rng(26);
-  auto data = tiny_vp_data();
-  ad::VpAdapter adapter(tiny_llm(), tiny_vp_cfg(), rng);
-  // Poison the loss on exactly the 4th and 5th steps.
-  fault::arm("adapter.step", {.kind = fault::FaultKind::CorruptNan, .after = 3, .times = 2});
-  const auto stats_out = adapter.adapt(data, 20, 1e-3f, 1);
-  EXPECT_EQ(fault::fired("adapter.step"), 2);
-  EXPECT_EQ(stats_out.skipped_steps, 2);
+  auto c = make_case(task, tiny_llm(), rng);
+  // Poison the loss on the 4th and 5th hits, or on the very first one: a
+  // vetoed step 0 must not leave the initial loss at zero.
+  const int times = after == 0 ? 1 : 2;
+  fault::arm("adapter.step", {.kind = fault::FaultKind::CorruptNan, .after = after, .times = times});
+  const auto stats_out = c.adapt(20, 1e-3f, 1);
+  // One skip per step holding a poisoned hit; ABR's step is kBatch=3 windows
+  // (3 hits), so both of its after=3 hits land in step 1.
+  const int per_step = task == Task::kAbr ? 3 : 1;
+  const int skips = (after + times - 1) / per_step - after / per_step + 1;
+  EXPECT_EQ(fault::fired("adapter.step"), times);
+  EXPECT_EQ(stats_out.skipped_steps, skips);
   EXPECT_EQ(stats_out.restores, 0);
   EXPECT_TRUE(std::isfinite(stats_out.final_loss));
-  EXPECT_EQ(metrics::counter("adapt.skipped_steps").value(), 2);
+  EXPECT_TRUE(std::isfinite(stats_out.initial_loss));
+  EXPECT_GT(stats_out.initial_loss, 0.0f);
+  EXPECT_EQ(metrics::counter("adapt.skipped_steps").value(), skips);
 }
 
-TEST_F(Guarded, AdaptRestoresCorruptedParameters) {
+INSTANTIATE_TEST_SUITE_P(Tasks, GuardedPoison,
+                         ::testing::Combine(all_tasks(), ::testing::Values(3, 0)),
+                         [](const auto& info) {
+                           return task_name(std::get<0>(info.param)) + "_after" +
+                                  std::to_string(std::get<1>(info.param));
+                         });
+
+class GuardedAdapt : public Guarded, public ::testing::WithParamInterface<Task> {};
+
+TEST_P(GuardedAdapt, AdaptRestoresCorruptedParameters) {
   Rng rng(27);
-  auto data = tiny_vp_data();
-  ad::VpAdapter adapter(tiny_llm(), tiny_vp_cfg(), rng);
+  auto c = make_case(GetParam(), tiny_llm(), rng);
   // Corrupt the optimised parameters after the 3rd applied step: the guard
   // must restore its last-good snapshot and finish the adaptation.
   fault::arm("adapter.params", {.kind = fault::FaultKind::CorruptNan, .after = 2, .times = 1});
-  const auto stats_out = adapter.adapt(data, 20, 1e-3f, 2);
+  const auto stats_out = c.adapt(20, 1e-3f, 2);
   EXPECT_EQ(stats_out.restores, 1);
   EXPECT_TRUE(std::isfinite(stats_out.final_loss));
-  for (const auto& p : adapter.adapt_parameters()) {
+  for (const auto& p : ad::adapt_parameters(*c.adapter, nullptr)) {
     for (float v : p.data()) ASSERT_TRUE(std::isfinite(v));
   }
   EXPECT_EQ(metrics::counter("adapt.restores").value(), 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(Tasks, GuardedAdapt, all_tasks(), task_param_name);

@@ -19,6 +19,8 @@
 #include "netllm/prompt_vp.hpp"
 #include "netllm/vp_adapter.hpp"
 
+#include "adapt_cases.hpp"
+
 namespace nt = netllm::tensor;
 namespace nn = netllm::nn;
 namespace ad = netllm::adapt;
@@ -26,6 +28,7 @@ namespace abr = netllm::abr;
 namespace cjs = netllm::cjs;
 namespace vp = netllm::vp;
 using netllm::core::Rng;
+using adapt_cases::tiny_llm;
 
 namespace {
 
@@ -34,18 +37,6 @@ ad::VpAdapterConfig tiny_vp_cfg() {
   cfg.lora_rank = 2;
   cfg.lora_alpha = 4.0f;
   return cfg;
-}
-
-std::shared_ptr<netllm::llm::MiniGpt> tiny_llm(std::uint64_t seed = 1) {
-  netllm::llm::MiniGptConfig cfg;
-  cfg.vocab = netllm::llm::Tokenizer().vocab_size();
-  cfg.d_model = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 1;
-  cfg.d_ff = 32;
-  cfg.max_seq = 112;
-  Rng rng(seed);
-  return std::make_shared<netllm::llm::MiniGpt>(cfg, rng);
 }
 
 }  // namespace
@@ -288,6 +279,35 @@ TEST(CjsAdapter, AdaptOnDecimaExperienceReducesLoss) {
   ad::CjsAdapter adapter(tiny_llm(), cfg, rng);
   auto stats = adapter.adapt(pool, 80, 2e-3f, 5);
   EXPECT_LT(stats.final_loss, stats.initial_loss);
+}
+
+// ---------- DT experience pools ----------
+
+/// A pool with nothing to train on is a named error, and a pool of one-step
+/// trajectories still trains (each window is one decision).
+template <typename Adapter, typename Pool>
+void expect_untrainable_pools_rejected(Adapter& adapter, Pool pool) {
+  EXPECT_THROW(adapter.adapt(Pool(pool.size()), 4, 1e-3f, 1), std::invalid_argument);
+  for (auto& traj : pool) traj.resize(1);
+  const auto before = adapt_cases::snap(adapter);
+  const auto stats = adapter.adapt(pool, 4, 1e-3f, 1);
+  EXPECT_TRUE(std::isfinite(stats.final_loss));
+  EXPECT_GT(stats.initial_loss, 0.0f);
+  EXPECT_TRUE(adapt_cases::snap(adapter) != before) << "no parameter changed";
+}
+
+TEST(DtPool, EmptyTrajectoriesThrowAndOneStepTrajectoriesTrain) {
+  Rng rng(31);
+  {
+    SCOPED_TRACE("abr");
+    expect_untrainable_pools_rejected(*adapt_cases::make_abr(tiny_llm(), rng),
+                                      adapt_cases::abr_pool());
+  }
+  {
+    SCOPED_TRACE("cjs");
+    expect_untrainable_pools_rejected(*adapt_cases::make_cjs(tiny_llm(), rng),
+                                      adapt_cases::cjs_pool());
+  }
 }
 
 // ---------- prompt learning (Fig. 2 baseline) ----------

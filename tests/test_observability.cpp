@@ -22,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "baselines/abr/rule_based.hpp"
@@ -34,6 +35,8 @@
 #include "llm/tokenizer.hpp"
 #include "netllm/api.hpp"
 #include "netllm/serve.hpp"
+
+#include "adapt_cases.hpp"
 
 namespace ad = netllm::adapt;
 namespace llm = netllm::llm;
@@ -276,35 +279,31 @@ TEST_F(Observability, GenerateBitwiseIdenticalWithMetricsOnAndOff) {
   EXPECT_EQ(on_cached, off_cached);
 }
 
-TEST_F(Observability, AdaptBitwiseIdenticalWithMetricsOnAndOff) {
-  auto setting = vp::vp_default_train();
-  setting.num_traces = 1;
-  const auto dataset = vp::build_dataset(setting, 4);
+class ObservabilityAdapt : public Observability,
+                           public ::testing::WithParamInterface<adapt_cases::Task> {};
+
+TEST_P(ObservabilityAdapt, AdaptBitwiseIdenticalWithMetricsOnAndOff) {
+  const auto task = adapt_cases::task_name(GetParam());
   auto run_once = [&] {
-    ad::VpAdapterConfig cfg;
-    cfg.lora_rank = 2;
-    cfg.lora_alpha = 4.0f;
     Rng rng(21);
-    ad::VpAdapter adapter(tiny_llm(21, 112), cfg, rng);
-    auto stats = adapter.adapt(dataset, /*steps=*/3, /*lr=*/1e-3f, /*seed=*/77);
-    auto rollout = adapter.predict(dataset[0].history, dataset[0].saliency, 3);
-    return std::pair{stats.final_loss, rollout};
+    auto c = adapt_cases::make_case(GetParam(), tiny_llm(21, 112), rng);
+    auto stats = c.adapt(/*steps=*/3, /*lr=*/1e-3f, /*seed=*/77);
+    return std::tuple{stats.final_loss, adapt_cases::snap(*c.adapter), c.decide()};
   };
   nm::set_enabled(true);
   const auto on = run_once();
-  EXPECT_EQ(nm::counter("adapt.vp.steps").value(), 3);
-  EXPECT_EQ(nm::histogram("adapt.vp.step_ms").count(), 3);
+  EXPECT_EQ(nm::counter("adapt." + task + ".steps").value(), 3);
+  EXPECT_EQ(nm::histogram("adapt." + task + ".step_ms").count(), 3);
   nm::set_enabled(false);
   const auto off = run_once();
   nm::set_enabled(true);
-  EXPECT_EQ(on.first, off.first);  // bitwise: loss float equality
-  ASSERT_EQ(on.second.size(), off.second.size());
-  for (std::size_t i = 0; i < on.second.size(); ++i) {
-    EXPECT_EQ(on.second[i].roll, off.second[i].roll);
-    EXPECT_EQ(on.second[i].pitch, off.second[i].pitch);
-    EXPECT_EQ(on.second[i].yaw, off.second[i].yaw);
-  }
+  EXPECT_EQ(std::get<0>(on), std::get<0>(off));  // bitwise: loss float equality
+  adapt_cases::expect_bitwise_equal(std::get<1>(on), std::get<1>(off));
+  EXPECT_EQ(std::get<2>(on), std::get<2>(off));  // the adapted model's decisions
 }
+
+INSTANTIATE_TEST_SUITE_P(Tasks, ObservabilityAdapt, adapt_cases::all_tasks(),
+                         adapt_cases::task_param_name);
 
 // ---------- ticket epochs (submit/run aliasing fix) ----------
 

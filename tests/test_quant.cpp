@@ -28,6 +28,8 @@
 #include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 
+#include "adapt_cases.hpp"
+
 namespace nc = netllm::core;
 namespace nt = netllm::tensor;
 namespace nq = netllm::tensor::quant;
@@ -39,6 +41,7 @@ namespace vp = netllm::vp;
 namespace fs = std::filesystem;
 using netllm::core::Rng;
 using nt::Tensor;
+using namespace adapt_cases;
 
 namespace {
 
@@ -80,49 +83,9 @@ std::string patched_image(std::string bytes, std::size_t pos, T value) {
   return bytes;
 }
 
-std::shared_ptr<nl::MiniGpt> tiny_llm(std::uint64_t seed = 7) {
-  nl::MiniGptConfig cfg;
-  cfg.vocab = nl::Tokenizer().vocab_size();
-  cfg.d_model = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 2;
-  cfg.d_ff = 32;
-  cfg.max_seq = 112;
-  Rng rng(seed);
-  return std::make_shared<nl::MiniGpt>(cfg, rng);
-}
-
 std::shared_ptr<ad::VpAdapter> vp_adapter(std::uint64_t seed = 1) {
-  ad::VpAdapterConfig cfg;
-  cfg.lora_rank = 2;
   Rng rng(seed);
-  return std::make_shared<ad::VpAdapter>(tiny_llm(seed), cfg, rng);
-}
-
-std::vector<vp::VpSample> vp_samples(int n) {
-  auto setting = vp::vp_default_train();
-  setting.num_traces = 1;
-  return vp::build_dataset(setting, n);
-}
-
-using ParamImage = std::vector<std::vector<float>>;
-
-ParamImage snap(const netllm::nn::Module& m) {
-  ParamImage out;
-  for (const auto& [name, t] : m.named_parameters()) {
-    auto d = t.data();
-    out.emplace_back(d.begin(), d.end());
-  }
-  return out;
-}
-
-void expect_bitwise_equal(const ParamImage& a, const ParamImage& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << "param " << i;
-    EXPECT_EQ(std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)), 0)
-        << "param " << i << " differs";
-  }
+  return make_vp(tiny_llm(seed, 2), rng);
 }
 
 class Quant : public ::testing::Test {
@@ -255,7 +218,7 @@ TEST_F(Quant, QmatmulKernelsBitwiseIdenticalAcrossThreadCounts) {
 TEST_F(Quant, QuantizedDecodeStreamsBitwiseIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   for (auto d : {nq::Dtype::kQ8_0, nq::Dtype::kQ4_0}) {
-    auto gpt = tiny_llm(0x6e0de);
+    auto gpt = tiny_llm(0x6e0de, 2);
     gpt->quantize_backbone(d);
     const std::vector<int> prompt = {5, 9, 2, 14, 3};
     std::vector<std::vector<int>> streams;
@@ -274,7 +237,7 @@ TEST_F(Quant, QuantizedDecodeStreamsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(Quant, QuantizedBackboneChangesForwardButStaysClose) {
-  auto gpt = tiny_llm(0xfeed);
+  auto gpt = tiny_llm(0xfeed, 2);
   Rng rng(0x1234);
   const auto d = gpt->config().d_model;
   const auto embeds = Tensor::from(random_vec(6 * d, rng, 0.1), {6, d});
@@ -494,28 +457,34 @@ TEST_F(Quant, SeededTruncationFuzzAlwaysRaisesNamedError) {
 
 // ---------- training untouched: bitwise checkpoint regression ----------
 
-TEST_F(Quant, AdaptOnQuantizedBackboneBitwiseMatchesFp32Run) {
-  const auto data = vp_samples(6);
+class QuantAdapt : public Quant, public ::testing::WithParamInterface<Task> {};
+
+TEST_P(QuantAdapt, AdaptOnQuantizedBackboneBitwiseMatchesFp32Run) {
   constexpr int kSteps = 6;
   constexpr float kLr = 1e-3f;
   constexpr std::uint64_t kSeed = 42;
 
-  auto ref = vp_adapter(3);
-  ref->adapt(data, kSteps, kLr, kSeed);
-  const auto ref_params = snap(*ref);
+  Rng ref_rng(3);
+  auto ref = make_case(GetParam(), tiny_llm(3, 2), ref_rng);
+  ref.adapt(kSteps, kLr, kSeed);
+  const auto ref_params = snap(*ref.adapter);
 
-  auto quantized = vp_adapter(3);  // identical construction
-  quantized->llm_shared()->quantize_backbone(nq::Dtype::kQ8_0);
-  quantized->adapt(data, kSteps, kLr, kSeed);
+  Rng rng(3);
+  auto llm = tiny_llm(3, 2);
+  auto quantized = make_case(GetParam(), llm, rng);  // identical construction
+  llm->quantize_backbone(nq::Dtype::kQ8_0);
+  quantized.adapt(kSteps, kLr, kSeed);
   // Frozen backbone + fp32 LoRA/heads: every checkpointable parameter must
   // be bitwise the fp32 run's — training never touched the quantized path.
-  expect_bitwise_equal(snap(*quantized), ref_params);
+  expect_bitwise_equal(snap(*quantized.adapter), ref_params);
   // And the backbone came back quantized and active for serving.
-  EXPECT_EQ(quantized->llm().backbone_dtype(), nq::Dtype::kQ8_0);
-  for (const auto& l : quantized->llm_shared()->backbone_linears()) {
+  EXPECT_EQ(llm->backbone_dtype(), nq::Dtype::kQ8_0);
+  for (const auto& l : llm->backbone_linears()) {
     EXPECT_TRUE(l->quant_active());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Tasks, QuantAdapt, all_tasks(), task_param_name);
 
 // ---------- EngineConfig / AdaptOptions knobs ----------
 
@@ -527,7 +496,7 @@ TEST_F(Quant, EngineConfigQuantizesAdapterBackbone) {
   auto engine = std::make_shared<serve::InferenceEngine>(adapter, nullptr, nullptr, cfg);
   EXPECT_EQ(adapter->llm().backbone_dtype(), nq::Dtype::kQ8_0);
   // The quantized engine still serves valid decisions end to end.
-  const auto samples = vp_samples(2);
+  const auto samples = vp_data(2);
   for (const auto& s : samples) {
     engine->submit(serve::VpRequest{s.history, s.saliency, 4});
   }
@@ -537,14 +506,14 @@ TEST_F(Quant, EngineConfigQuantizesAdapterBackbone) {
 }
 
 TEST_F(Quant, AdaptOptionsQuantizesReturnedAdapter) {
-  const auto data = vp_samples(4);
+  const auto data = vp_data(4);
   ad::VpAdapterConfig cfg;
   cfg.lora_rank = 2;
   ad::api::AdaptOptions opts;
   opts.steps = 2;
   opts.backbone_dtype = nq::Dtype::kQ4_0;
   Rng rng(9);
-  auto adapter = ad::api::Adapt(tiny_llm(9), data, cfg, opts, rng);
+  auto adapter = ad::api::Adapt(tiny_llm(9, 2), data, cfg, opts, rng);
   EXPECT_EQ(adapter->llm().backbone_dtype(), nq::Dtype::kQ4_0);
   const auto pred = adapter->predict(data[0].history, data[0].saliency, 4);
   EXPECT_EQ(pred.size(), 4u);

@@ -12,13 +12,13 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/abr/rule_based.hpp"
-#include "baselines/cjs/rule_based.hpp"
 #include "core/fault.hpp"
 #include "core/signal.hpp"
 #include "core/threadpool.hpp"
 #include "llm/zoo.hpp"
 #include "netllm/api.hpp"
+
+#include "adapt_cases.hpp"
 
 namespace ad = netllm::adapt;
 namespace abr = netllm::abr;
@@ -26,46 +26,14 @@ namespace cjs = netllm::cjs;
 namespace vp = netllm::vp;
 namespace fault = netllm::core::fault;
 namespace fs = std::filesystem;
-using netllm::core::Rng;
+using namespace adapt_cases;
 
 namespace {
-
-std::shared_ptr<netllm::llm::MiniGpt> tiny_llm(std::uint64_t seed = 7) {
-  netllm::llm::MiniGptConfig cfg;
-  cfg.vocab = netllm::llm::Tokenizer().vocab_size();
-  cfg.d_model = 16;
-  cfg.n_heads = 2;
-  cfg.n_layers = 1;
-  cfg.d_ff = 32;
-  cfg.max_seq = 112;
-  Rng rng(seed);
-  return std::make_shared<netllm::llm::MiniGpt>(cfg, rng);
-}
 
 fs::path session_dir(const std::string& name) {
   const auto p = fs::temp_directory_path() / ("netllm_sess_" + name);
   fs::remove_all(p);
   return p;
-}
-
-using ParamImage = std::vector<std::vector<float>>;
-
-ParamImage snap(const netllm::nn::Module& m) {
-  ParamImage out;
-  for (const auto& [name, t] : m.named_parameters()) {
-    auto d = t.data();
-    out.emplace_back(d.begin(), d.end());
-  }
-  return out;
-}
-
-void expect_bitwise_equal(const ParamImage& a, const ParamImage& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size()) << "param " << i;
-    EXPECT_EQ(std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)), 0)
-        << "param " << i << " differs";
-  }
 }
 
 void arm_kill_after(int hits) {
@@ -78,50 +46,19 @@ void arm_kill_after(int hits) {
 // ---- task fixtures: identical construction on every call, so a resumed
 // adapter starts from the same initialisation as the killed one ----
 
-std::vector<vp::VpSample> vp_data() {
-  auto setting = vp::vp_default_train();
-  setting.num_traces = 1;
-  return vp::build_dataset(setting, 8);
-}
-
-std::unique_ptr<ad::VpAdapter> make_vp() {
+std::shared_ptr<ad::VpAdapter> fresh_vp() {
   Rng rng(11);
-  ad::VpAdapterConfig cfg;
-  cfg.lora_rank = 2;
-  return std::make_unique<ad::VpAdapter>(tiny_llm(), cfg, rng);
+  return make_vp(tiny_llm(7), rng);
 }
 
-std::vector<ad::AbrTrajectory> abr_pool() {
-  auto setting = abr::abr_default_train();
-  setting.num_traces = 2;
-  netllm::baselines::Bba bba;
-  return ad::api::RL_Collect(bba, setting, 1, 0.1, 3);
-}
-
-std::unique_ptr<ad::AbrAdapter> make_abr() {
+std::shared_ptr<ad::AbrAdapter> fresh_abr() {
   Rng rng(12);
-  ad::AbrAdapterConfig cfg;
-  cfg.lora_rank = 2;
-  cfg.context_window = 4;
-  return std::make_unique<ad::AbrAdapter>(tiny_llm(), cfg, rng);
+  return make_abr(tiny_llm(7), rng);
 }
 
-std::vector<ad::CjsTrajectory> cjs_pool() {
-  cjs::WorkloadConfig base;
-  base.num_job_requests = 6;
-  base.executor_units_k = 4;
-  base.scale = 1.0;
-  base.seed = 5;
-  netllm::baselines::FairScheduler fair;
-  return ad::api::RL_Collect(fair, base, 2, 7);
-}
-
-std::unique_ptr<ad::CjsAdapter> make_cjs() {
+std::shared_ptr<ad::CjsAdapter> fresh_cjs() {
   Rng rng(13);
-  ad::CjsAdapterConfig cfg;
-  cfg.lora_rank = 2;
-  cfg.context_window = 4;
-  return std::make_unique<ad::CjsAdapter>(tiny_llm(), cfg, rng);
+  return make_cjs(tiny_llm(7), rng);
 }
 
 constexpr int kSteps = 16;
@@ -171,34 +108,34 @@ void kill_resume_roundtrip(MakeFn make, const PoolT& pool, const std::string& ta
 }  // namespace
 
 TEST_F(SessionTest, VpKillResumeBitwiseEquivalentSerial) {
-  kill_resume_roundtrip(make_vp, vp_data(), "vp", 10, /*threads=*/1);
+  kill_resume_roundtrip(fresh_vp, vp_data(), "vp", 10, /*threads=*/1);
 }
 
 TEST_F(SessionTest, VpKillResumeBitwiseEquivalentThreaded) {
-  kill_resume_roundtrip(make_vp, vp_data(), "vp", 10, /*threads=*/8);
+  kill_resume_roundtrip(fresh_vp, vp_data(), "vp", 10, /*threads=*/8);
 }
 
 TEST_F(SessionTest, AbrKillResumeBitwiseEquivalentSerial) {
   // ABR hits "adapter.step" kBatch=3 times per step, so 13 hits kills
   // mid-batch in step 4 — after the step-3 checkpoint.
-  kill_resume_roundtrip(make_abr, abr_pool(), "abr", 13, /*threads=*/1);
+  kill_resume_roundtrip(fresh_abr, abr_pool(), "abr", 13, /*threads=*/1);
 }
 
 TEST_F(SessionTest, AbrKillResumeBitwiseEquivalentThreaded) {
-  kill_resume_roundtrip(make_abr, abr_pool(), "abr", 13, /*threads=*/8);
+  kill_resume_roundtrip(fresh_abr, abr_pool(), "abr", 13, /*threads=*/8);
 }
 
 TEST_F(SessionTest, CjsKillResumeBitwiseEquivalentSerial) {
-  kill_resume_roundtrip(make_cjs, cjs_pool(), "cjs", 10, /*threads=*/1);
+  kill_resume_roundtrip(fresh_cjs, cjs_pool(), "cjs", 10, /*threads=*/1);
 }
 
 TEST_F(SessionTest, CjsKillResumeBitwiseEquivalentThreaded) {
-  kill_resume_roundtrip(make_cjs, cjs_pool(), "cjs", 10, /*threads=*/8);
+  kill_resume_roundtrip(fresh_cjs, cjs_pool(), "cjs", 10, /*threads=*/8);
 }
 
 TEST_F(SessionTest, StopRequestDrainsAndResumeMatchesReference) {
   const auto data = vp_data();
-  auto ref_model = make_vp();
+  auto ref_model = fresh_vp();
   ref_model->adapt(data, kSteps, kLr, kSeed);
   const auto reference = snap(*ref_model);
 
@@ -207,14 +144,14 @@ TEST_F(SessionTest, StopRequestDrainsAndResumeMatchesReference) {
   sess.checkpoint_every = 100;  // only the drain checkpoint is written
 
   netllm::core::request_stop();  // pending stop: drain after the first step
-  auto victim = make_vp();
+  auto victim = fresh_vp();
   const auto st = victim->adapt(data, kSteps, kLr, kSeed, sess);
   EXPECT_TRUE(st.interrupted);
   EXPECT_EQ(st.checkpoints, 1);
   ASSERT_EQ(ad::TrainSession::latest_step(sess.dir), std::optional<int>(1));
   netllm::core::clear_stop();
 
-  auto resumed = make_vp();
+  auto resumed = fresh_vp();
   const auto rs = resumed->adapt(data, kSteps, kLr, kSeed, sess);
   EXPECT_EQ(rs.start_step, 1);
   expect_bitwise_equal(snap(*resumed), reference);
@@ -226,7 +163,7 @@ TEST_F(SessionTest, SigtermMidAdaptProducesLoadableCheckpointAndCleanExit) {
   sess.dir = session_dir("vp_sigterm").string();
   sess.checkpoint_every = 1000000;  // force the drain path to write it
 
-  auto model = make_vp();
+  auto model = fresh_vp();
   ad::AdaptStats st;
   std::thread trainer(
       [&] { st = model->adapt(data, 1000000, kLr, kSeed, sess); });
@@ -251,7 +188,7 @@ TEST_F(SessionTest, SigtermMidAdaptProducesLoadableCheckpointAndCleanExit) {
 
 TEST_F(SessionTest, DrainCheckpointRetriesThroughTruncatedWrite) {
   const auto data = vp_data();
-  auto ref_model = make_vp();
+  auto ref_model = fresh_vp();
   ref_model->adapt(data, kSteps, kLr, kSeed);
   const auto reference = snap(*ref_model);
 
@@ -265,20 +202,20 @@ TEST_F(SessionTest, DrainCheckpointRetriesThroughTruncatedWrite) {
   torn.truncate_to = 8;
   torn.times = 1;  // first drain attempt tears; the retry goes through
   fault::arm("serialize.write", torn);
-  auto victim = make_vp();
+  auto victim = fresh_vp();
   const auto st = victim->adapt(data, kSteps, kLr, kSeed, sess);
   fault::disarm_all();
   EXPECT_TRUE(st.interrupted);
   netllm::core::clear_stop();
 
-  auto resumed = make_vp();
+  auto resumed = fresh_vp();
   resumed->adapt(data, kSteps, kLr, kSeed, sess);
   expect_bitwise_equal(snap(*resumed), reference);
 }
 
 TEST_F(SessionTest, TornNewestCheckpointFallsBackToPrevious) {
   const auto data = vp_data();
-  auto ref_model = make_vp();
+  auto ref_model = fresh_vp();
   ref_model->adapt(data, kSteps, kLr, kSeed);
   const auto reference = snap(*ref_model);
 
@@ -288,7 +225,7 @@ TEST_F(SessionTest, TornNewestCheckpointFallsBackToPrevious) {
   sess.keep_last = 8;  // keep everything: the test needs an older fallback
 
   {
-    auto victim = make_vp();
+    auto victim = fresh_vp();
     arm_kill_after(10);
     EXPECT_THROW(victim->adapt(data, kSteps, kLr, kSeed, sess), fault::FaultInjected);
     fault::disarm_all();
@@ -306,7 +243,7 @@ TEST_F(SessionTest, TornNewestCheckpointFallsBackToPrevious) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
 
-  auto resumed = make_vp();
+  auto resumed = fresh_vp();
   const auto stats = resumed->adapt(data, kSteps, kLr, kSeed, sess);
   EXPECT_GT(stats.start_step, 0);
   expect_bitwise_equal(snap(*resumed), reference);
@@ -319,7 +256,7 @@ TEST_F(SessionTest, RetentionKeepsNewestKAndNeverTheLatest) {
   sess.checkpoint_every = 2;
   sess.keep_last = 3;
 
-  auto model = make_vp();
+  auto model = fresh_vp();
   const auto st = model->adapt(data, kSteps, kLr, kSeed, sess);
   EXPECT_GT(st.checkpoints, 3);  // more were written than survive GC
 
@@ -338,11 +275,11 @@ TEST_F(SessionTest, FinishedRunResumesAsAlreadyDone) {
   sess.dir = session_dir("vp_done").string();
   sess.checkpoint_every = 5;
 
-  auto model = make_vp();
+  auto model = fresh_vp();
   model->adapt(data, kSteps, kLr, kSeed, sess);
   const auto finished = snap(*model);
 
-  auto again = make_vp();
+  auto again = fresh_vp();
   const auto st = again->adapt(data, kSteps, kLr, kSeed, sess);
   EXPECT_EQ(st.start_step, kSteps);  // no steps replayed
   EXPECT_EQ(st.checkpoints, 0);
@@ -355,10 +292,10 @@ TEST_F(SessionTest, FingerprintMismatchIsRejectedByName) {
   sess.dir = session_dir("vp_mismatch").string();
   sess.checkpoint_every = 4;
 
-  auto model = make_vp();
+  auto model = fresh_vp();
   model->adapt(data, kSteps, kLr, kSeed, sess);
 
-  auto other = make_vp();
+  auto other = fresh_vp();
   EXPECT_THROW(other->adapt(data, kSteps, kLr, kSeed + 1, sess), ad::SessionMismatch);
   EXPECT_THROW(other->adapt(data, kSteps + 4, kLr, kSeed, sess), ad::SessionMismatch);
   EXPECT_THROW(other->adapt(data, kSteps, 2e-3f, kSeed, sess), ad::SessionMismatch);
@@ -366,7 +303,7 @@ TEST_F(SessionTest, FingerprintMismatchIsRejectedByName) {
 
 TEST_F(SessionTest, PeriodicCheckpointFailuresNeverAffectTraining) {
   const auto data = vp_data();
-  auto ref_model = make_vp();
+  auto ref_model = fresh_vp();
   ref_model->adapt(data, kSteps, kLr, kSeed);
   const auto reference = snap(*ref_model);
 
@@ -378,7 +315,7 @@ TEST_F(SessionTest, PeriodicCheckpointFailuresNeverAffectTraining) {
   plan.kind = fault::FaultKind::Throw;
   plan.times = -1;  // every checkpoint write fails
   fault::arm("session.checkpoint", plan);
-  auto model = make_vp();
+  auto model = fresh_vp();
   const auto st = model->adapt(data, kSteps, kLr, kSeed, sess);
   fault::disarm_all();
 
@@ -397,7 +334,7 @@ TEST_F(SessionTest, ResumeApiRequiresExistingCheckpoint) {
   Rng rng(11);
   ad::VpAdapterConfig cfg;
   cfg.lora_rank = 2;
-  EXPECT_THROW(ad::api::Resume(tiny_llm(), data, cfg, opts, rng), std::invalid_argument);
+  EXPECT_THROW(ad::api::Resume(tiny_llm(7), data, cfg, opts, rng), std::invalid_argument);
   opts.session_dir = session_dir("vp_api_missing").string();
-  EXPECT_THROW(ad::api::Resume(tiny_llm(), data, cfg, opts, rng), std::invalid_argument);
+  EXPECT_THROW(ad::api::Resume(tiny_llm(7), data, cfg, opts, rng), std::invalid_argument);
 }
