@@ -10,10 +10,23 @@ namespace netllm::llm {
 
 namespace {
 using namespace netllm::tensor;
+
+/// Fault-injection site for the serving/robustness tests: armed plans can
+/// throw, delay past a latency budget, or poison the features with NaN/Inf.
+/// One draw per embedding-path backbone pass, so an armed plan fires
+/// identically on the cached and uncached paths.
+Tensor llm_forward_fault(Tensor features) {
+  core::fault::corrupt("llm.forward", features.mutable_data());
+  return features;
+}
+
 }  // namespace
 
 MiniGpt::MiniGpt(const MiniGptConfig& cfg, core::Rng& rng) : cfg_(cfg) {
-  if (cfg.vocab <= 0 || cfg.max_seq <= 0) throw std::invalid_argument("MiniGpt: bad config");
+  if (cfg.vocab <= 0 || cfg.max_seq <= 0 || cfg.d_model <= 0 || cfg.n_heads <= 0 ||
+      cfg.n_layers <= 0 || cfg.d_ff <= 0) {
+    throw std::invalid_argument("MiniGpt: bad config");
+  }
   tok_embed_ = std::make_shared<nn::Embedding>(cfg.vocab, cfg.d_model, rng);
   pos_embed_ = Tensor::randn({cfg.max_seq, cfg.d_model}, rng, 0.02f, true);
   for (std::int64_t i = 0; i < cfg.n_layers; ++i) {
@@ -24,19 +37,33 @@ MiniGpt::MiniGpt(const MiniGptConfig& cfg, core::Rng& rng) : cfg_(cfg) {
   lm_head_ = std::make_shared<nn::Linear>(cfg.d_model, cfg.vocab, rng, /*bias=*/false);
 }
 
-Tensor MiniGpt::run_blocks(const Tensor& x, DecodeState* st) const {
-  Tensor h = x;
+Tensor MiniGpt::run_blocks(const Tensor& x, std::int64_t pos,
+                           std::span<nn::KvCache> caches) const {
+  if (x.rank() != 2 || x.dim(1) != cfg_.d_model) {
+    throw std::invalid_argument("MiniGpt: expected [T, d_model] rows");
+  }
+  const auto t = x.dim(0);
+  if (t == 0 || pos + t > cfg_.max_seq) {
+    throw std::invalid_argument(
+        "MiniGpt: rows [pos, pos + T) must be non-empty and within max_seq");
+  }
+  Tensor h = add(x, slice_rows(pos_embed_, pos, t));
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward(h, st ? &st->layers[i] : nullptr);
+    h = blocks_[i]->forward(h, caches.empty() ? nullptr : &caches[i]);
   }
   return final_ln_->forward(h);
 }
 
+std::int64_t MiniGpt::next_position(std::span<const nn::KvCache> caches, bool prefill) const {
+  if (caches.size() != blocks_.size() || (prefill && caches.front().len != 0)) {
+    throw std::invalid_argument(
+        "MiniGpt: caches must be one per block (and empty for a prefill)");
+  }
+  return caches.front().len;
+}
+
 Tensor MiniGpt::forward_tokens(std::span<const int> ids) const {
-  const auto t = static_cast<std::int64_t>(ids.size());
-  if (t == 0 || t > cfg_.max_seq) throw std::invalid_argument("MiniGpt: sequence length out of range");
-  auto x = add(tok_embed_->forward(ids), slice_rows(pos_embed_, 0, t));
-  return lm_head_->forward(run_blocks(x));
+  return lm_head_->forward(run_blocks(tok_embed_->forward(ids), 0, {}));
 }
 
 Tensor MiniGpt::lm_loss(std::span<const int> ids) const {
@@ -135,94 +162,38 @@ DecodeState MiniGpt::make_decode_state() const {
 }
 
 Tensor MiniGpt::prefill(std::span<const int> ids, DecodeState& st) const {
-  if (st.layers.size() != blocks_.size() || st.len() != 0) {
-    throw std::invalid_argument("MiniGpt::prefill: state must be empty and sized for this model");
-  }
-  const auto t = static_cast<std::int64_t>(ids.size());
-  if (t == 0 || t > cfg_.max_seq) {
-    throw std::invalid_argument("MiniGpt: sequence length out of range");
-  }
+  next_position(st.layers, /*prefill=*/true);
   core::trace::Span span(core::trace::Phase::kPrefill);
-  auto x = add(tok_embed_->forward(ids), slice_rows(pos_embed_, 0, t));
-  return lm_head_->forward(run_blocks(x, &st));
+  return lm_head_->forward(run_blocks(tok_embed_->forward(ids), 0, st.layers));
 }
 
 Tensor MiniGpt::decode_step(int token, DecodeState& st) const {
-  if (st.layers.size() != blocks_.size()) {
-    throw std::invalid_argument("MiniGpt::decode_step: state not sized for this model");
-  }
-  const auto pos = st.len();
-  if (pos >= cfg_.max_seq) {
-    throw std::invalid_argument("MiniGpt::decode_step: cache is full (max_seq positions)");
-  }
+  const auto pos = next_position(st.layers, /*prefill=*/false);
   core::trace::Span span(core::trace::Phase::kDecodeStep);
   const int ids[1] = {token};
-  auto h = add(tok_embed_->forward(ids), slice_rows(pos_embed_, pos, 1));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward_step(h, st.layers[i]);
-  }
-  return lm_head_->forward(final_ln_->forward(h));
+  return lm_head_->forward(run_blocks(tok_embed_->forward(ids), pos, st.layers));
 }
 
 Tensor MiniGpt::forward_embeddings(const Tensor& embeds) const {
-  if (embeds.rank() != 2 || embeds.dim(1) != cfg_.d_model) {
-    throw std::invalid_argument("MiniGpt::forward_embeddings: expected [T, d_model]");
-  }
-  const auto t = embeds.dim(0);
-  if (t > cfg_.max_seq) throw std::invalid_argument("MiniGpt::forward_embeddings: sequence too long");
   // The embedding-path backbone forward is a full-sequence pass, so it is
   // attributed to the prefill phase — for serving *and* adaptation forwards.
   core::trace::Span span(core::trace::Phase::kPrefill);
-  auto features = run_blocks(add(embeds, slice_rows(pos_embed_, 0, t)));
-  // Fault-injection site for the serving/robustness tests: armed plans can
-  // throw, delay past a latency budget, or poison the features with NaN/Inf.
-  core::fault::corrupt("llm.forward", features.mutable_data());
-  return features;
+  return llm_forward_fault(run_blocks(embeds, 0, {}));
 }
 
 Tensor MiniGpt::prefill_embeddings(const Tensor& embeds, std::span<nn::KvCache> layers) const {
-  if (embeds.rank() != 2 || embeds.dim(1) != cfg_.d_model) {
-    throw std::invalid_argument("MiniGpt::prefill_embeddings: expected [T, d_model]");
-  }
-  if (layers.size() != blocks_.size() || (!layers.empty() && layers.front().len != 0)) {
-    throw std::invalid_argument(
-        "MiniGpt::prefill_embeddings: caches must be empty and sized for this model");
-  }
-  const auto t = embeds.dim(0);
-  if (t == 0 || t > cfg_.max_seq) {
-    throw std::invalid_argument("MiniGpt::prefill_embeddings: sequence length out of range");
-  }
+  next_position(layers, /*prefill=*/true);
   core::trace::Span span(core::trace::Phase::kPrefill);
-  Tensor h = add(embeds, slice_rows(pos_embed_, 0, t));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward(h, &layers[i]);
-  }
-  auto features = final_ln_->forward(h);
-  // Same injection site as forward_embeddings: one draw per backbone pass,
-  // so an armed plan fires identically on the cached and uncached paths.
-  core::fault::corrupt("llm.forward", features.mutable_data());
-  return features;
+  return llm_forward_fault(run_blocks(embeds, 0, layers));
 }
 
 Tensor MiniGpt::embeddings_step(const Tensor& row, std::span<nn::KvCache> layers) const {
-  if (row.rank() != 2 || row.dim(0) != 1 || row.dim(1) != cfg_.d_model) {
-    throw std::invalid_argument("MiniGpt::embeddings_step: expected [1, d_model]");
+  if (row.rank() != 2 || row.dim(0) != 1) {
+    throw std::invalid_argument("MiniGpt::embeddings_step: expected one [1, d_model] row");
   }
-  if (layers.size() != blocks_.size()) {
-    throw std::invalid_argument("MiniGpt::embeddings_step: caches not sized for this model");
-  }
-  const auto pos = layers.empty() ? 0 : layers.front().len;
-  if (pos >= cfg_.max_seq) {
-    throw std::invalid_argument("MiniGpt::embeddings_step: cache is full (max_seq positions)");
-  }
+  const auto pos = next_position(layers, /*prefill=*/false);
   core::trace::Span span(core::trace::Phase::kDecodeStep);
-  Tensor h = add(row, slice_rows(pos_embed_, pos, 1));
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = blocks_[i]->forward_step(h, layers[i]);
-  }
-  auto features = final_ln_->forward(h);
-  core::fault::corrupt("llm.forward", features.mutable_data());
-  return features;
+  return llm_forward_fault(run_blocks(row, pos, layers));
 }
 
 std::vector<Tensor> MiniGpt::enable_lora(std::int64_t rank, float alpha, core::Rng& rng) {

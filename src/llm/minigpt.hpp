@@ -46,6 +46,7 @@ struct DecodeState {
 
 class MiniGpt final : public nn::Module {
  public:
+  /// Throws "MiniGpt: bad config" unless every size field is positive.
   MiniGpt(const MiniGptConfig& cfg, core::Rng& rng);
 
   // ---- token path ----
@@ -86,7 +87,7 @@ class MiniGpt final : public nn::Module {
   // Span-based so the per-layer caches can be a DecodeState's layers OR an
   // arena lease (`nn::KvArena::Lease::layers()`); one cache per block.
   /// Full-prompt pass capturing every K/V row; returns features [T, d_model].
-  /// Bitwise identical to `forward_embeddings` (same ops, caches only read).
+  /// Bitwise identical to `forward_embeddings` (the same pass, with caches).
   /// The caches must be empty.
   tensor::Tensor prefill_embeddings(const tensor::Tensor& embeds,
                                     std::span<nn::KvCache> layers) const;
@@ -154,7 +155,15 @@ class MiniGpt final : public nn::Module {
   }
 
  private:
-  tensor::Tensor run_blocks(const tensor::Tensor& x, DecodeState* st = nullptr) const;
+  /// The one backbone pass every entry point (token or embedding, full,
+  /// prefill or decode step) calls: add position rows [pos, pos + T) to
+  /// x [T, d_model], run every block with its cache (or uncached when
+  /// `caches` is empty), then the final LayerNorm.
+  tensor::Tensor run_blocks(const tensor::Tensor& x, std::int64_t pos,
+                            std::span<nn::KvCache> caches) const;
+  /// Position of the first new row a cached pass feeds; throws unless there
+  /// is one cache per block, all empty for a prefill.
+  std::int64_t next_position(std::span<const nn::KvCache> caches, bool prefill) const;
 
   MiniGptConfig cfg_;
   std::shared_ptr<nn::Embedding> tok_embed_;

@@ -19,6 +19,21 @@ Tensor concat_cols(const std::vector<Tensor>& xs) {
   return transpose(concat_rows(transposed));
 }
 
+/// A projection runs through its LoRA wrapper once one is enabled.
+Tensor project(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
+               const Tensor& x) {
+  return lora ? lora->forward(x) : base->forward(x);
+}
+
+/// Validated before the division: n_heads == 0 must throw, not raise SIGFPE.
+std::int64_t head_width(std::int64_t d_model, std::int64_t n_heads) {
+  if (d_model <= 0 || n_heads <= 0 || d_model % n_heads != 0) {
+    throw std::invalid_argument(
+        "MultiHeadAttention: d_model must be a positive multiple of n_heads");
+  }
+  return d_model / n_heads;
+}
+
 }  // namespace
 
 KvCache::KvCache(const KvCache& other) : d_model(other.d_model), len(other.len) {
@@ -52,30 +67,14 @@ void KvCache::reserve(std::int64_t rows) {
   if (d_model <= 0) {
     throw std::invalid_argument("KvCache::reserve: d_model not set yet");
   }
-  if (!k_buf_.defined() || k_buf_.dim(1) != d_model) {
-    k_buf_ = tensor::make_row_buffer(d_model, rows);
-    v_buf_ = tensor::make_row_buffer(d_model, rows);
-  } else if (buffer_capacity_rows(k_buf_) < rows) {
-    // Re-reserve in place is not possible without invalidating outstanding
-    // views, so grow through fresh buffers carrying the existing rows.
-    auto grow = [&](const Tensor& old) {
-      auto buf = tensor::make_row_buffer(d_model, rows);
-      const std::size_t d = static_cast<std::size_t>(d_model);
-      for (std::int64_t i = 0; i < len; ++i) {
-        tensor::buffer_append_row(buf, old.data().subspan(static_cast<std::size_t>(i) * d, d));
-      }
-      return buf;
-    };
-    k_buf_ = grow(k_buf_);
-    v_buf_ = grow(v_buf_);
+  if (k_buf_.defined() && k_buf_.dim(1) == d_model && buffer_capacity_rows(k_buf_) >= rows) {
+    return;
   }
-}
-
-void KvCache::ensure_buffers() {
-  if (!k_buf_.defined() || k_buf_.dim(1) != d_model) {
-    k_buf_ = tensor::make_row_buffer(d_model, 0);
-    v_buf_ = tensor::make_row_buffer(d_model, 0);
-  }
+  // Every cache is reserved before its prefill, so fresh buffers never have
+  // to carry rows over.
+  if (len != 0) throw std::invalid_argument("KvCache::reserve: cannot grow a non-empty cache");
+  k_buf_ = tensor::make_row_buffer(d_model, rows);
+  v_buf_ = tensor::make_row_buffer(d_model, rows);
 }
 
 void KvCache::append(std::span<const float> k_row, std::span<const float> v_row) {
@@ -84,7 +83,7 @@ void KvCache::append(std::span<const float> k_row, std::span<const float> v_row)
       static_cast<std::int64_t>(v_row.size()) != d_model) {
     throw std::invalid_argument("KvCache::append: row width does not match d_model");
   }
-  ensure_buffers();
+  reserve(0);  // buffers at this width; an existing reservation is kept
   buffer_append_row(k_buf_, k_row);
   buffer_append_row(v_buf_, v_row);
   ++len;
@@ -121,20 +120,12 @@ std::int64_t KvCache::capacity_rows() const {
 
 MultiHeadAttention::MultiHeadAttention(std::int64_t d_model, std::int64_t n_heads, bool causal,
                                        core::Rng& rng)
-    : d_model_(d_model), n_heads_(n_heads), d_head_(d_model / n_heads), causal_(causal) {
-  if (d_model % n_heads != 0) {
-    throw std::invalid_argument("MultiHeadAttention: d_model must be divisible by n_heads");
-  }
+    : d_model_(d_model), n_heads_(n_heads), d_head_(head_width(d_model, n_heads)),
+      causal_(causal) {
   wq_ = std::make_shared<Linear>(d_model, d_model, rng);
   wk_ = std::make_shared<Linear>(d_model, d_model, rng);
   wv_ = std::make_shared<Linear>(d_model, d_model, rng);
   wo_ = std::make_shared<Linear>(d_model, d_model, rng);
-}
-
-Tensor MultiHeadAttention::project(const std::shared_ptr<Linear>& base,
-                                   const std::shared_ptr<LoRALinear>& lora,
-                                   const Tensor& x) const {
-  return lora ? lora->forward(x) : base->forward(x);
 }
 
 Tensor MultiHeadAttention::attend(const Tensor& q, const Tensor& k, const Tensor& v,
@@ -164,40 +155,35 @@ Tensor MultiHeadAttention::forward(const Tensor& x, KvCache* cache) const {
   if (x.rank() != 2 || x.dim(1) != d_model_) {
     throw std::invalid_argument("MultiHeadAttention: expected [T, d_model] input");
   }
+  const auto t = x.dim(0);
+  if (cache && t > 1 && cache->len != 0) {
+    // A prefill's causal mask covers only its own rows; rows after cached
+    // ones would need an offset mask. Refuse rather than return wrong rows.
+    throw std::invalid_argument(
+        "MultiHeadAttention::forward: a multi-row forward needs an empty cache");
+  }
   const auto q = project(wq_, lq_, x);
   const auto k = project(wk_, lk_, x);
   const auto v = project(wv_, lv_, x);
-  if (cache) {
-    // Capture the K/V rows for incremental decoding. A [1, d] x [d, d]
-    // matmul row accumulates in the same order as the matching row of the
-    // full [T, d] x [d, d] product, so these rows are bitwise what
-    // forward_step would have appended token by token.
-    const std::size_t d = static_cast<std::size_t>(d_model_);
-    for (std::int64_t i = 0; i < x.dim(0); ++i) {
-      cache->append(k.data().subspan(static_cast<std::size_t>(i) * d, d),
-                    v.data().subspan(static_cast<std::size_t>(i) * d, d));
-    }
+  // Only a multi-row pass needs the mask. A single row sees every cached
+  // position, and over one column softmax_rows and causal_masked_softmax
+  // share the same per-row kernel.
+  const bool mask = causal_ && t > 1;
+  if (!cache) return attend(q, k, v, mask);
+  // A [1, d] x [d, d] matmul row accumulates in the same order as the
+  // matching row of the full [T, d] x [d, d] product, so the appended rows
+  // are bitwise the full forward's. Attention then reads zero-copy views of
+  // the cache buffers: caching is inference-only, so the graph never reaches
+  // back into earlier steps, and no append happens mid-attend. A decode
+  // row's full-row softmax over the cache equals the causal-masked last row
+  // of the full forward, because masked zero weights contribute no terms to
+  // the attn·V accumulation (the matmul kernel skips exact zeros).
+  const std::size_t d = static_cast<std::size_t>(d_model_);
+  for (std::int64_t i = 0; i < t; ++i) {
+    cache->append(k.data().subspan(static_cast<std::size_t>(i) * d, d),
+                  v.data().subspan(static_cast<std::size_t>(i) * d, d));
   }
-  return attend(q, k, v, causal_);
-}
-
-Tensor MultiHeadAttention::forward_step(const Tensor& x_t, KvCache& cache) const {
-  if (x_t.rank() != 2 || x_t.dim(0) != 1 || x_t.dim(1) != d_model_) {
-    throw std::invalid_argument("MultiHeadAttention::forward_step: expected [1, d_model] input");
-  }
-  const auto q = project(wq_, lq_, x_t);
-  const auto k = project(wk_, lk_, x_t);
-  const auto v = project(wv_, lv_, x_t);
-  cache.append(k.data(), v.data());
-  // Attend over zero-copy views of the cache buffers: decoding is
-  // inference-only, so the graph never needs to reach back into earlier
-  // steps, and the views stay valid for the whole attend (no append happens
-  // mid-op). Attending with a full-row softmax over the cache equals the
-  // causal-masked last row of the full forward — softmax_rows and
-  // causal_masked_softmax share the same per-row kernel, and the masked zero
-  // weights contribute no terms to the attn·V accumulation (the matmul
-  // kernel skips exact zeros).
-  return attend(q, cache.k_view(), cache.v_view(), /*causal=*/false);
+  return attend(q, cache->k_view(), cache->v_view(), mask);
 }
 
 void MultiHeadAttention::collect_params(NamedParams& out, const std::string& prefix) const {
@@ -240,22 +226,11 @@ TransformerBlock::TransformerBlock(std::int64_t d_model, std::int64_t n_heads, s
 }
 
 Tensor TransformerBlock::ff(const Tensor& x) const {
-  auto h = lfc1_ ? lfc1_->forward(x) : fc1_->forward(x);
-  h = gelu(h);
-  return lfc2_ ? lfc2_->forward(h) : fc2_->forward(h);
+  return project(fc2_, lfc2_, gelu(project(fc1_, lfc1_, x)));
 }
 
 Tensor TransformerBlock::forward(const Tensor& x, KvCache* cache) const {
   auto h = add(x, attn_->forward(ln1_->forward(x), cache));
-  return add(h, ff(ln2_->forward(h)));
-}
-
-Tensor TransformerBlock::forward_step(const Tensor& x_t, KvCache& cache) const {
-  // layer_norm, the residual adds and the MLP are all row-wise, so running
-  // them on the single new row produces the same floats as the last row of
-  // the full-sequence forward; attention is the only cross-row op and goes
-  // through the cache.
-  auto h = add(x_t, attn_->forward_step(ln1_->forward(x_t), cache));
   return add(h, ff(ln2_->forward(h)));
 }
 

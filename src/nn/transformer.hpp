@@ -24,11 +24,11 @@ namespace netllm::nn {
 /// DESIGN.md §10), which `tests/test_decode.cpp` pins.
 ///
 /// Storage is a pair of in-place growable tensor row buffers: `k_view()` /
-/// `v_view()` hand the attention step a zero-copy [len, d_model] tensor, so
-/// decoding no longer pays an O(len) copy per step, and `reserve()` pins the
-/// backing allocation to a known horizon (or an arena page span) so appends
-/// never reallocate mid-decode. Copying a KvCache deep-copies the buffers —
-/// two caches never alias storage.
+/// `v_view()` hand attention a zero-copy [len, d_model] tensor, so decoding
+/// pays no O(len) copy per step, and `reserve()` pins the backing allocation
+/// to a known horizon (or an arena page span) so appends never reallocate
+/// mid-decode. Copying a KvCache deep-copies the buffers — two caches never
+/// alias storage.
 struct KvCache {
   std::int64_t d_model = 0;  // set on first append; checked afterwards
   std::int64_t len = 0;      // cached positions
@@ -45,7 +45,8 @@ struct KvCache {
   void clear();
   /// Pre-allocate storage for `rows` positions; requires d_model known
   /// (set it, or append once, first). Appends within the reservation never
-  /// reallocate — `tests/test_sched.cpp` pins the allocation count.
+  /// reallocate — `tests/test_sched.cpp` pins the allocation count. Growing
+  /// a non-empty cache past its capacity throws: reserve before the prefill.
   void reserve(std::int64_t rows);
   void append(std::span<const float> k_row, std::span<const float> v_row);
 
@@ -61,7 +62,6 @@ struct KvCache {
   std::int64_t capacity_rows() const;
 
  private:
-  void ensure_buffers();
   tensor::Tensor k_buf_, v_buf_;  // null handles until the first append/reserve
 };
 
@@ -70,14 +70,13 @@ class MultiHeadAttention final : public Module {
  public:
   MultiHeadAttention(std::int64_t d_model, std::int64_t n_heads, bool causal, core::Rng& rng);
 
-  /// Full-sequence forward. With `cache` given (prefill), the K/V rows of
-  /// every position are appended to it so decoding can continue with
-  /// `forward_step`.
+  /// The one attention forward over x [T, D]. Without a cache it attends
+  /// over x alone. With a cache it appends x's K/V rows and attends over the
+  /// whole cache: T > 1 rows are a prefill and need an empty cache (a non-
+  /// empty one throws), T == 1 is a decode step at position `cache->len`.
+  /// Either way the rows are bitwise the matching rows of the uncached
+  /// forward over the full sequence.
   Tensor forward(const Tensor& x, KvCache* cache = nullptr) const;
-  /// Incremental decode: project the single new position x_t [1, D], append
-  /// its K/V rows to the cache and attend over the whole cache. Produces the
-  /// same floats as the last row of `forward` over the full sequence.
-  Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
 
   /// Wrap q/k/v/o projections with LoRA; returns the new low-rank tensors.
@@ -89,8 +88,6 @@ class MultiHeadAttention final : public Module {
   }
 
  private:
-  Tensor project(const std::shared_ptr<Linear>& base, const std::shared_ptr<LoRALinear>& lora,
-                 const Tensor& x) const;
   Tensor attend(const Tensor& q, const Tensor& k, const Tensor& v, bool causal) const;
 
   std::int64_t d_model_, n_heads_, d_head_;
@@ -105,11 +102,10 @@ class TransformerBlock final : public Module {
   TransformerBlock(std::int64_t d_model, std::int64_t n_heads, std::int64_t d_ff, bool causal,
                    core::Rng& rng);
 
-  /// Full-sequence forward; with `cache` given the attention K/V rows are
-  /// captured for incremental decoding (prefill).
+  /// Forward over x [T, D], with or without a cache (see
+  /// MultiHeadAttention::forward). Layer norm, the residual adds and the MLP
+  /// are row-wise, so attention is the only op that sees the cache.
   Tensor forward(const Tensor& x, KvCache* cache = nullptr) const;
-  /// Incremental decode over one new position (see MultiHeadAttention).
-  Tensor forward_step(const Tensor& x_t, KvCache& cache) const;
   void collect_params(tensor::NamedParams& out, const std::string& prefix) const override;
   std::vector<Tensor> enable_lora(std::int64_t rank, float alpha, core::Rng& rng);
 

@@ -103,31 +103,41 @@ TEST_F(Decode, CachedMatchesUncachedWithStopToken) {
 }
 
 TEST_F(Decode, StepLogitsBitwiseEqualFullForward) {
-  auto gpt = tiny_llm(12);
-  Rng rng(3);
-  const auto tokens = random_prompt(10, rng, gpt->config().vocab);
+  for (bool lora : {false, true}) {
+    SCOPED_TRACE(lora ? "lora" : "plain");
+    auto gpt = tiny_llm(12);
+    Rng rng(3);
+    if (lora) {
+      // Random low-rank deltas (B starts at zero), so LoRA moves every projection.
+      gpt->freeze_backbone();
+      for (auto t : gpt->enable_lora(2, 4.0f, rng)) {
+        for (auto& x : t.mutable_data()) x = static_cast<float>(rng.uniform(-0.2, 0.2));
+      }
+    }
+    const auto tokens = random_prompt(10, rng, gpt->config().vocab);
 
-  auto st = gpt->make_decode_state();
-  const std::size_t prefill_len = 4;
-  Tensor logits = gpt->prefill(std::span<const int>(tokens.data(), prefill_len), st);
-  // Last prefill row vs full forward over the same prefix: bitwise equal.
-  const auto v = static_cast<std::size_t>(gpt->config().vocab);
-  {
-    const auto full = gpt->forward_tokens(std::span<const int>(tokens.data(), prefill_len));
-    const auto a = to_vec(logits);
-    const auto b = to_vec(full);
-    ASSERT_EQ(a, b);  // prefill returns the full [T, vocab] logits
-  }
-  // Each decode_step row vs the last row of the uncached forward over the
-  // grown prefix — element-for-element float equality, no tolerance.
-  for (std::size_t t = prefill_len; t < tokens.size(); ++t) {
-    logits = gpt->decode_step(tokens[t], st);
-    const auto full = gpt->forward_tokens(std::span<const int>(tokens.data(), t + 1));
-    const auto step_row = to_vec(logits);
-    const auto full_data = to_vec(full);
-    ASSERT_EQ(step_row.size(), v);
-    for (std::size_t j = 0; j < v; ++j) {
-      ASSERT_EQ(step_row[j], full_data[t * v + j]) << "t=" << t << " j=" << j;
+    auto st = gpt->make_decode_state();
+    const std::size_t prefill_len = 4;
+    Tensor logits = gpt->prefill(std::span<const int>(tokens.data(), prefill_len), st);
+    // Last prefill row vs full forward over the same prefix: bitwise equal.
+    const auto v = static_cast<std::size_t>(gpt->config().vocab);
+    {
+      const auto full = gpt->forward_tokens(std::span<const int>(tokens.data(), prefill_len));
+      const auto a = to_vec(logits);
+      const auto b = to_vec(full);
+      ASSERT_EQ(a, b);  // prefill returns the full [T, vocab] logits
+    }
+    // Each decode_step row vs the last row of the uncached forward over the
+    // grown prefix — element-for-element float equality, no tolerance.
+    for (std::size_t t = prefill_len; t < tokens.size(); ++t) {
+      logits = gpt->decode_step(tokens[t], st);
+      const auto full = gpt->forward_tokens(std::span<const int>(tokens.data(), t + 1));
+      const auto step_row = to_vec(logits);
+      const auto full_data = to_vec(full);
+      ASSERT_EQ(step_row.size(), v);
+      for (std::size_t j = 0; j < v; ++j) {
+        ASSERT_EQ(step_row[j], full_data[t * v + j]) << "t=" << t << " j=" << j;
+      }
     }
   }
 }

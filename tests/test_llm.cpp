@@ -132,6 +132,20 @@ TEST(MiniGpt, RejectsOverlongSequence) {
   EXPECT_THROW(model.forward_tokens(ids), std::invalid_argument);
 }
 
+TEST(MiniGpt, RejectsBadConfig) {
+  // n_heads = 0 must throw, not raise SIGFPE; n_layers <= 0 would build a
+  // zero-block model whose cached decode runs every token at position 0.
+  for (auto field : {&nl::MiniGptConfig::d_model, &nl::MiniGptConfig::n_heads,
+                     &nl::MiniGptConfig::n_layers, &nl::MiniGptConfig::d_ff}) {
+    for (std::int64_t bad : {0, -1}) {
+      auto cfg = tiny_config();
+      cfg.*field = bad;
+      Rng rng(3);
+      EXPECT_THROW(nl::MiniGpt(cfg, rng), std::invalid_argument) << "value " << bad;
+    }
+  }
+}
+
 TEST(MiniGpt, ForwardEmbeddingsShapeAndPositionSensitivity) {
   Rng rng(3);
   nl::MiniGpt model(tiny_config(), rng);

@@ -138,6 +138,27 @@ TEST(MultiHeadAttention, NonCausalAttendsToFuture) {
 TEST(MultiHeadAttention, RejectsIndivisibleHeads) {
   Rng rng(9);
   EXPECT_THROW(nn::MultiHeadAttention(10, 3, true, rng), std::invalid_argument);
+  // Checked before the division, so n_heads = 0 throws instead of SIGFPE.
+  EXPECT_THROW(nn::MultiHeadAttention(8, 0, true, rng), std::invalid_argument);
+}
+
+TEST(TransformerBlock, MultiRowForwardIntoNonEmptyCacheThrows) {
+  Rng rng(11);
+  nn::TransformerBlock block(8, 2, 16, /*causal=*/true, rng);
+  auto x = nt::Tensor::randn({5, 8}, rng, 1.0f);
+  nn::KvCache cache;
+  block.forward(nt::slice_rows(x, 0, 3), &cache);
+  ASSERT_EQ(cache.len, 3);
+  // Two rows after a prefill would be masked as if they started at position
+  // 0: the forward refuses and leaves the cache untouched.
+  EXPECT_THROW(block.forward(nt::slice_rows(x, 3, 2), &cache), std::invalid_argument);
+  EXPECT_EQ(cache.len, 3);
+  // One row at a time is the decode step: bitwise the full forward's rows.
+  const auto full = block.forward(x);
+  for (std::int64_t t = 3; t < 5; ++t) {
+    const auto step = block.forward(nt::slice_rows(x, t, 1), &cache);
+    for (std::int64_t j = 0; j < 8; ++j) ASSERT_EQ(step.at(j), full.at(t * 8 + j));
+  }
 }
 
 TEST(TransformerBlock, ForwardShapeAndGradientFlow) {

@@ -127,31 +127,40 @@ TEST_F(Sched, CachedPredictBitwiseMatchesUncachedAcrossThreadCounts) {
 }
 
 TEST_F(Sched, PrefillAndStepEmbeddingsBitwiseMatchFullForward) {
-  auto gpt = tiny_llm(17);
-  const auto d = gpt->config().d_model;
-  Rng rng(23);
-  const std::int64_t total = 7, prefill_len = 4;
-  std::vector<float> rows(static_cast<std::size_t>(total * d));
-  for (auto& x : rows) x = static_cast<float>(rng.uniform(-1.0, 1.0));
-  auto first_rows = [&](std::int64_t t) {
-    return Tensor::from({rows.begin(), rows.begin() + t * d}, {t, d});
-  };
+  using netllm::tensor::quant::Dtype;
+  // prefill_len 1 is the single-row causal prefill.
+  for (Dtype dtype : {Dtype::kF32, Dtype::kQ8_0, Dtype::kQ4_0}) {
+    for (std::int64_t prefill_len : {1, 4}) {
+      SCOPED_TRACE(std::string(netllm::tensor::quant::dtype_name(dtype)) +
+                   " prefill_len=" + std::to_string(prefill_len));
+      auto gpt = tiny_llm(17);
+      gpt->quantize_backbone(dtype);
+      const auto d = gpt->config().d_model;
+      Rng rng(23);
+      const std::int64_t total = 7;
+      std::vector<float> rows(static_cast<std::size_t>(total * d));
+      for (auto& x : rows) x = static_cast<float>(rng.uniform(-1.0, 1.0));
+      auto first_rows = [&](std::int64_t t) {
+        return Tensor::from({rows.begin(), rows.begin() + t * d}, {t, d});
+      };
 
-  std::vector<nn::KvCache> layers(static_cast<std::size_t>(gpt->config().n_layers));
-  const auto prefill = gpt->prefill_embeddings(first_rows(prefill_len), layers);
-  ASSERT_EQ(to_vec(prefill), to_vec(gpt->forward_embeddings(first_rows(prefill_len))));
-  for (std::int64_t t = prefill_len; t < total; ++t) {
-    const auto row =
-        Tensor::from({rows.begin() + t * d, rows.begin() + (t + 1) * d}, {1, d});
-    const auto step = to_vec(gpt->embeddings_step(row, layers));
-    const auto full = to_vec(gpt->forward_embeddings(first_rows(t + 1)));
-    ASSERT_EQ(step.size(), static_cast<std::size_t>(d));
-    for (std::int64_t j = 0; j < d; ++j) {
-      // Each incremental step is float-exact the last row of the uncached
-      // forward over the grown sequence — no tolerance.
-      ASSERT_EQ(step[static_cast<std::size_t>(j)],
-                full[static_cast<std::size_t>((t * d) + j)])
-          << "t=" << t << " j=" << j;
+      std::vector<nn::KvCache> layers(static_cast<std::size_t>(gpt->config().n_layers));
+      const auto prefill = gpt->prefill_embeddings(first_rows(prefill_len), layers);
+      ASSERT_EQ(to_vec(prefill), to_vec(gpt->forward_embeddings(first_rows(prefill_len))));
+      for (std::int64_t t = prefill_len; t < total; ++t) {
+        const auto row =
+            Tensor::from({rows.begin() + t * d, rows.begin() + (t + 1) * d}, {1, d});
+        const auto step = to_vec(gpt->embeddings_step(row, layers));
+        const auto full = to_vec(gpt->forward_embeddings(first_rows(t + 1)));
+        ASSERT_EQ(step.size(), static_cast<std::size_t>(d));
+        for (std::int64_t j = 0; j < d; ++j) {
+          // Each incremental step is float-exact the last row of the uncached
+          // forward over the grown sequence — no tolerance.
+          ASSERT_EQ(step[static_cast<std::size_t>(j)],
+                    full[static_cast<std::size_t>((t * d) + j)])
+              << "t=" << t << " j=" << j;
+        }
+      }
     }
   }
 }
@@ -434,6 +443,11 @@ TEST_F(Sched, KvCacheReservePinsTheAllocation) {
   // insert used to grow geometrically, reallocating mid-decode).
   EXPECT_EQ(c.capacity_rows(), capacity);
   EXPECT_EQ(c.k().size(), static_cast<std::size_t>(rows * 8));
+  // A covered reservation is a no-op; growing a non-empty cache throws.
+  c.reserve(rows);
+  EXPECT_EQ(c.capacity_rows(), capacity);
+  EXPECT_THROW(c.reserve(capacity + 1), std::invalid_argument);
+  EXPECT_EQ(c.len, rows);
 }
 
 TEST_F(Sched, BlockAdmissionWakesByNotificationNotPolling) {
