@@ -13,6 +13,8 @@
 //   checkpoint  durable-session checkpoint writes
 //   pool.wait   caller-side wait for ThreadPool workers to drain a
 //               parallel_for
+//   sched.step  one scheduler slot serving one queued request end to end
+//               (serve::InferenceEngine::run, DESIGN.md §13)
 //
 // A `Span` is RAII: it reads the clock on entry and on destruction records
 // the elapsed milliseconds into the phase's `core::metrics` histogram
@@ -41,7 +43,7 @@ enum class Phase : int {
   kCount,
 };
 
-/// Stable lowercase phase name ("encode", ..., "pool.wait").
+/// Stable lowercase phase name ("encode", ..., "sched.step").
 const char* phase_name(Phase p);
 
 /// The histogram backing a phase (registered on first use).

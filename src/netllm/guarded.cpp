@@ -196,14 +196,28 @@ Health GuardEngine::health() const {
   return health_;
 }
 
+std::shared_ptr<vp::VpPredictor> fallback_or_default(std::shared_ptr<vp::VpPredictor> fallback) {
+  if (fallback) return fallback;
+  return std::make_shared<baselines::LinearRegressionVp>();
+}
+
+std::shared_ptr<abr::AbrPolicy> fallback_or_default(std::shared_ptr<abr::AbrPolicy> fallback) {
+  if (fallback) return fallback;
+  return std::make_shared<baselines::Bba>();
+}
+
+std::shared_ptr<cjs::SchedPolicy> fallback_or_default(std::shared_ptr<cjs::SchedPolicy> fallback) {
+  if (fallback) return fallback;
+  return std::make_shared<baselines::FifoScheduler>();
+}
+
 // ---- VP ----
 
 GuardedVpPredictor::GuardedVpPredictor(std::shared_ptr<vp::VpPredictor> primary,
                                        std::shared_ptr<vp::VpPredictor> fallback,
                                        GuardConfig cfg)
     : primary_(std::move(primary)),
-      fallback_(fallback ? std::move(fallback)
-                         : std::make_shared<baselines::LinearRegressionVp>()),
+      fallback_(fallback_or_default(std::move(fallback))),
       engine_(with_default_prefix(std::move(cfg), "guard.vp.")) {
   if (!primary_) throw std::invalid_argument("GuardedVpPredictor: null primary");
 }
@@ -226,7 +240,7 @@ std::vector<vp::Viewport> GuardedVpPredictor::predict(std::span<const vp::Viewpo
 GuardedAbrPolicy::GuardedAbrPolicy(std::shared_ptr<abr::AbrPolicy> primary,
                                    std::shared_ptr<abr::AbrPolicy> fallback, GuardConfig cfg)
     : primary_(std::move(primary)),
-      fallback_(fallback ? std::move(fallback) : std::make_shared<baselines::Bba>()),
+      fallback_(fallback_or_default(std::move(fallback))),
       engine_(with_default_prefix(std::move(cfg), "guard.abr.")) {
   if (!primary_) throw std::invalid_argument("GuardedAbrPolicy: null primary");
 }
@@ -260,7 +274,7 @@ GuardedSchedPolicy::GuardedSchedPolicy(std::shared_ptr<cjs::SchedPolicy> primary
                                        std::shared_ptr<cjs::SchedPolicy> fallback,
                                        GuardConfig cfg)
     : primary_(std::move(primary)),
-      fallback_(fallback ? std::move(fallback) : std::make_shared<baselines::FifoScheduler>()),
+      fallback_(fallback_or_default(std::move(fallback))),
       engine_(with_default_prefix(std::move(cfg), "guard.cjs.")) {
   if (!primary_) throw std::invalid_argument("GuardedSchedPolicy: null primary");
 }

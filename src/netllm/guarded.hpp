@@ -94,6 +94,14 @@ bool valid_level(int level, const abr::Observation& obs);
 /// CJS: the action indexes the runnable-stage list and the executor-cap menu.
 bool valid_action(const cjs::SchedAction& a, const cjs::SchedObservation& obs);
 
+/// The fallback a guarded task serves when none is given: `fallback` itself
+/// when set, else the task's rule-based baseline — LR for VP (paper §A.3),
+/// BBA for ABR, FIFO for CJS. Shared by the Guarded* wrappers and the
+/// serving engine.
+std::shared_ptr<vp::VpPredictor> fallback_or_default(std::shared_ptr<vp::VpPredictor> fallback);
+std::shared_ptr<abr::AbrPolicy> fallback_or_default(std::shared_ptr<abr::AbrPolicy> fallback);
+std::shared_ptr<cjs::SchedPolicy> fallback_or_default(std::shared_ptr<cjs::SchedPolicy> fallback);
+
 /// Thread-safe budget/validity/breaker engine. Its mutex covers the
 /// bookkeeping transitions only: the primary and the fallback run outside
 /// it, so a slow (or stateful, or throwing) call never serializes other

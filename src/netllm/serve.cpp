@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <utility>
 
-#include "baselines/abr/rule_based.hpp"
-#include "baselines/cjs/rule_based.hpp"
-#include "baselines/vp/rule_based.hpp"
 #include "core/fault.hpp"
 #include "core/rng.hpp"
 #include "core/signal.hpp"
@@ -50,14 +49,66 @@ double next_backoff_ms(const EngineConfig& cfg, core::Rng& rng, int attempt) {
   return cfg.retry_backoff_ms * static_cast<double>(std::int64_t{1} << doublings) * jitter;
 }
 
-/// The guard settings of one task; metrics go under <counter_prefix><task>.
-adapt::GuardConfig guard_config(const EngineConfig& cfg, const char* task) {
+/// Stable lowercase task name ("vp" / "abr" / "cjs").
+const char* task_name(Task t) {
+  static constexpr const char* kNames[] = {"vp", "abr", "cjs"};
+  return kNames[static_cast<int>(t)];
+}
+
+constexpr const char* kMetricPrefix = "serve.";
+
+/// The name of one lane metric: serve.<task>.<name>.
+std::string lane_metric(Task task, const char* name) {
+  return std::string(kMetricPrefix) + task_name(task) + "." + name;
+}
+
+/// The guard settings of one task; its counters go under serve.<task>.
+adapt::GuardConfig guard_config(const EngineConfig& cfg, Task task) {
   adapt::GuardConfig g;
   g.latency_budget_ms = cfg.latency_budget_ms;
   g.breaker_threshold = cfg.breaker_threshold;
   g.breaker_cooldown = cfg.breaker_cooldown;
-  if (!cfg.counter_prefix.empty()) g.counter_prefix = cfg.counter_prefix + task + ".";
+  g.counter_prefix = lane_metric(task, "");
   return g;
+}
+
+// ---- the per-task glue: everything else is one template over the lanes ----
+
+std::vector<vp::Viewport> act(vp::VpPredictor& m, const VpRequest& r) {
+  return m.predict(r.history, r.saliency, r.horizon);
+}
+int act(abr::AbrPolicy& p, const AbrRequest& r) { return p.choose_level(r.obs); }
+cjs::SchedAction act(cjs::SchedPolicy& p, const CjsRequest& r) { return p.choose(r.obs); }
+
+bool valid(const std::vector<vp::Viewport>& out, const VpRequest& r) {
+  return adapt::valid_viewports(out, r.horizon);
+}
+bool valid(int level, const AbrRequest& r) { return adapt::valid_level(level, r.obs); }
+bool valid(const cjs::SchedAction& a, const CjsRequest& r) { return adapt::valid_action(a, r.obs); }
+
+std::vector<vp::Viewport>& answer_of(VpResponse& r) { return r.viewports; }
+int& answer_of(AbrResponse& r) { return r.level; }
+cjs::SchedAction& answer_of(CjsResponse& r) { return r.action; }
+
+adapt::VpAdapter* as_adapter(vp::VpPredictor* m) { return dynamic_cast<adapt::VpAdapter*>(m); }
+adapt::AbrAdapter* as_adapter(abr::AbrPolicy* p) { return dynamic_cast<adapt::AbrAdapter*>(p); }
+adapt::CjsAdapter* as_adapter(cjs::SchedPolicy* p) { return dynamic_cast<adapt::CjsAdapter*>(p); }
+
+/// Session lifecycle passthrough: under the lane's policy mutex, both the
+/// primary (when loaded) and the fallback see the event.
+template <typename L, typename F>
+void tell_both(L& lane, F&& f) {
+  std::lock_guard<std::mutex> lock(lane.policy_mu);
+  if (lane.primary) f(*lane.primary);
+  f(*lane.fallback);
+}
+
+[[noreturn]] void throw_stale(Task task, const Ticket& t, std::uint64_t completed) {
+  throw StaleTicket(std::string("InferenceEngine: stale ") + task_name(task) + " ticket {epoch " +
+                    std::to_string(t.epoch) + ", index " + std::to_string(t.index) +
+                    "} vs completed batch " + std::to_string(completed) +
+                    (t.epoch > completed ? " (batch not drained yet — call run())"
+                                         : " (a later run() replaced these responses)"));
 }
 
 }  // namespace
@@ -69,6 +120,21 @@ double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int 
   return backoff;
 }
 
+template <typename Req, typename Resp, typename Model>
+InferenceEngine::Lane<Req, Resp, Model>::Lane(Task t, std::shared_ptr<Model> model,
+                                              std::shared_ptr<Model> fallback_model,
+                                              const EngineConfig& cfg, int prio, bool serial)
+    : task(t),
+      primary(std::move(model)),
+      fallback(adapt::fallback_or_default(std::move(fallback_model))),
+      guard(guard_config(cfg, t)),
+      slo_miss(core::metrics::counter(lane_metric(t, "slo_miss"))),
+      rejected(core::metrics::counter(lane_metric(t, "rejected"))),
+      queue_wait_ms(core::metrics::histogram(lane_metric(t, "queue_wait_ms"))),
+      compute_ms(core::metrics::histogram(lane_metric(t, "compute_ms"))),
+      priority(prio),
+      serialized(serial) {}
+
 InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
                                  std::shared_ptr<abr::AbrPolicy> abr_policy,
                                  std::shared_ptr<cjs::SchedPolicy> cjs_policy, EngineConfig cfg,
@@ -76,34 +142,22 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
                                  std::shared_ptr<abr::AbrPolicy> abr_fallback,
                                  std::shared_ptr<cjs::SchedPolicy> cjs_fallback)
     : cfg_(std::move(cfg)),
-      vp_model_(std::move(vp_model)),
-      vp_fallback_(vp_fallback ? std::move(vp_fallback)
-                               : std::make_shared<baselines::LinearRegressionVp>()),
-      abr_policy_(std::move(abr_policy)),
-      abr_fallback_(abr_fallback ? std::move(abr_fallback) : std::make_shared<baselines::Bba>()),
-      cjs_policy_(std::move(cjs_policy)),
-      cjs_fallback_(cjs_fallback ? std::move(cjs_fallback)
-                                 : std::make_shared<baselines::FifoScheduler>()),
-      vp_guard_(guard_config(cfg_, "vp")),
-      abr_guard_(guard_config(cfg_, "abr")),
-      cjs_guard_(guard_config(cfg_, "cjs")) {
-  if (!vp_model_ && !abr_policy_ && !cjs_policy_) {
+      vp_(Task::kVp, std::move(vp_model), std::move(vp_fallback), cfg_, cfg_.vp_priority, false),
+      abr_(Task::kAbr, std::move(abr_policy), std::move(abr_fallback), cfg_, cfg_.abr_priority,
+           true),
+      cjs_(Task::kCjs, std::move(cjs_policy), std::move(cjs_fallback), cfg_, cfg_.cjs_priority,
+           true),
+      queue_depth_(core::metrics::gauge(std::string(kMetricPrefix) + "queue_depth")),
+      admission_wakeups_(core::metrics::counter(std::string(kMetricPrefix) + "admission.wakeups")) {
+  if (!vp_.primary && !abr_.primary && !cjs_.primary) {
     throw std::invalid_argument("InferenceEngine: need at least one model");
-  }
-  // Resolve all metric handles once; the serve path never assembles a name.
-  vp_metrics_ = make_task_metrics("vp");
-  abr_metrics_ = make_task_metrics("abr");
-  cjs_metrics_ = make_task_metrics("cjs");
-  if (!cfg_.counter_prefix.empty()) {
-    queue_depth_ = &core::metrics::gauge(cfg_.counter_prefix + "queue_depth");
-    admission_wakeups_ = &core::metrics::counter(cfg_.counter_prefix + "admission.wakeups");
   }
   // Pooled KV arena (DESIGN.md §13): when the VP primary is a VpAdapter,
   // its rollouts lease pages from this engine's budget and share warm
   // prompt prefixes across requests. Other predictors are opaque — they
   // keep their own caching strategy.
   if (cfg_.arena_pages > 0) {
-    if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
+    if (auto* adapter = as_adapter(vp_.primary.get())) {
       const auto& llm_cfg = adapter->llm().config();
       nn::KvArenaConfig acfg;
       acfg.page_rows = cfg_.arena_page_rows;
@@ -117,117 +171,62 @@ InferenceEngine::InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
   // primary's projection weights at the configured dtype. Non-adapter
   // predictors are opaque and stay untouched.
   if (cfg_.backbone_dtype != tensor::quant::Dtype::kF32) {
-    if (auto adapter = std::dynamic_pointer_cast<adapt::VpAdapter>(vp_model_)) {
-      adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
-    if (auto adapter = std::dynamic_pointer_cast<adapt::AbrAdapter>(abr_policy_)) {
-      adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
-    if (auto adapter = std::dynamic_pointer_cast<adapt::CjsAdapter>(cjs_policy_)) {
-      adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
-    }
+    for_each_lane(*this, [&](auto& lane) {
+      if (auto* adapter = as_adapter(lane.primary.get())) {
+        adapter->llm_shared()->quantize_backbone(cfg_.backbone_dtype);
+      }
+    });
   }
 }
 
-InferenceEngine::TaskMetrics InferenceEngine::make_task_metrics(const char* task) const {
-  TaskMetrics m;
-  if (cfg_.counter_prefix.empty()) return m;  // metrics opted out for this engine
-  const std::string base = cfg_.counter_prefix + task + ".";
-  m.slo_miss = &core::metrics::counter(base + "slo_miss");
-  m.rejected = &core::metrics::counter(base + "rejected");
-  m.queue_wait_ms = &core::metrics::histogram(base + "queue_wait_ms");
-  m.compute_ms = &core::metrics::histogram(base + "compute_ms");
-  return m;
-}
-
-template <typename Action, typename Primary, typename Validate, typename Fallback>
-Action InferenceEngine::decide(adapt::GuardEngine& guard, Primary&& primary, Validate&& valid,
-                               Fallback&& fallback, ResponseMeta& meta, const DecideCtx& ctx) {
-  const int max_attempts = 1 + std::max(0, cfg_.retry_budget);
-  // Private deterministic jitter stream: seeded from the request's identity,
-  // so the backoff sequence is the same in every run at any NETLLM_THREADS.
-  core::Rng retry_rng(cfg_.retry_seed ^ ctx.retry_key);
-  const auto retry = [&](int attempt) {
-    if (attempt >= max_attempts) return -1.0;
-    // Deadline-aware: when the end-to-end SLO is already blown there is no
-    // point burning another attempt — degrade to the fallback now.
-    if (cfg_.deadline_ms > 0.0 && ms_between(ctx.admitted, Clock::now()) >= cfg_.deadline_ms) {
-      return -1.0;
-    }
-    return next_backoff_ms(cfg_, retry_rng, attempt);
-  };
-  adapt::Decision decision;
-  Action action = guard.decide<Action>(
-      [&] {
-        // The injection site fires inside the guarded region: an armed
-        // `serve.batch` plan (throw / delay past the budget) is handled
-        // exactly like an organic LLM-path failure — this one request falls
-        // back. The latency budget covers this call only, never the policy
-        // mutex wait the caller reports as queue_wait_ms.
-        core::fault::check("serve.batch");
-        return primary();
-      },
-      valid, fallback, ctx.shed, retry, decision);
-  meta.source = decision.source;
-  meta.retries = decision.retries;
-  return action;
-}
-
 std::size_t InferenceEngine::unshed_pending_locked() const {
-  auto count = [](const auto& queue) {
-    std::size_t n = 0;
-    for (const auto& q : queue) {
+  std::size_t n = 0;
+  for_each_lane(*this, [&](const auto& lane) {
+    for (const auto& q : lane.queue) {
       if (!q.shed) ++n;
     }
-    return n;
-  };
-  return count(vp_queue_) + count(abr_queue_) + count(cjs_queue_);
+  });
+  return n;
 }
 
 void InferenceEngine::shed_oldest_locked() {
   // The victim keeps its queue slot and its ticket stays valid — the drain
   // serves it via the fallback (Source::kShed) without primary compute. Only
-  // the shed flag flips, so concurrent tickets never alias.
-  Queued<VpRequest>* vp = nullptr;
-  Queued<AbrRequest>* abr = nullptr;
-  Queued<CjsRequest>* cjs = nullptr;
-  auto first_unshed = [](auto& queue) -> decltype(&queue.front()) {
-    for (auto& q : queue) {
-      if (!q.shed) return &q;
+  // the shed flag flips, so concurrent tickets never alias. Each queue is
+  // admission-ordered, so its first unshed entry is its oldest; the victim
+  // is the oldest of those, a tie going to the earlier lane.
+  bool* victim = nullptr;
+  Clock::time_point oldest = Clock::time_point::max();
+  for_each_lane(*this, [&](auto& lane) {
+    for (auto& q : lane.queue) {
+      if (q.shed) continue;
+      if (!victim || q.admitted < oldest) {
+        victim = &q.shed;
+        oldest = q.admitted;
+      }
+      break;
     }
-    return nullptr;
-  };
-  vp = first_unshed(vp_queue_);
-  abr = first_unshed(abr_queue_);
-  cjs = first_unshed(cjs_queue_);
-  // Oldest admission stamp across the three queues (each queue is
-  // admission-ordered, so its first unshed entry is its oldest).
-  const auto stamp = [](const auto* q) {
-    return q ? q->admitted : Clock::time_point::max();
-  };
-  const auto vp_t = stamp(vp), abr_t = stamp(abr), cjs_t = stamp(cjs);
-  if (vp && vp_t <= abr_t && vp_t <= cjs_t) {
-    vp->shed = true;
-  } else if (abr && abr_t <= cjs_t) {
-    abr->shed = true;
-  } else if (cjs) {
-    cjs->shed = true;
-  }
+  });
+  if (victim) *victim = true;
 }
 
-void InferenceEngine::admit_locked(std::unique_lock<std::mutex>& lk,
-                                   core::metrics::Counter* rejected) {
+template <typename L, typename Req>
+Ticket InferenceEngine::submit_to(L& lane, Req req) {
+  if (!lane.primary) {
+    throw std::invalid_argument(std::string("InferenceEngine: no ") + task_name(lane.task) +
+                                " model");
+  }
+  std::unique_lock<std::mutex> lock(queue_mu_);
   if (core::stop_requested()) {
-    if (rejected) rejected->add();
+    lane.rejected.add();
     throw Overloaded(
         "InferenceEngine: admission closed (shutdown requested; queued "
         "requests drain via the fallback)");
   }
-  if (cfg_.max_queue == 0) return;
-  while (unshed_pending_locked() >= cfg_.max_queue) {
+  while (cfg_.max_queue != 0 && unshed_pending_locked() >= cfg_.max_queue) {
     switch (cfg_.admission) {
       case AdmissionPolicy::kReject:
-        if (rejected) rejected->add();
+        lane.rejected.add();
         throw Overloaded("InferenceEngine: queue full (" + std::to_string(cfg_.max_queue) +
                          " pending) under the Reject admission policy");
       case AdmissionPolicy::kShedOldest:
@@ -243,12 +242,12 @@ void InferenceEngine::admit_locked(std::unique_lock<std::mutex>& lk,
         // code are caught by the predicate on the next notification.
         // serve.admission.wakeups counts wait returns — the §13 regression
         // test bounds it where the poll loop would rack up dozens.
-        queue_cv_.wait_for(lk, std::chrono::milliseconds(200), [&] {
+        queue_cv_.wait_for(lock, std::chrono::milliseconds(200), [&] {
           return core::stop_requested() || unshed_pending_locked() < cfg_.max_queue;
         });
-        if (admission_wakeups_) admission_wakeups_->add();
+        admission_wakeups_.add();
         if (core::stop_requested()) {
-          if (rejected) rejected->add();
+          lane.rejected.add();
           throw Overloaded(
               "InferenceEngine: admission closed while blocked on a full "
               "queue (shutdown requested)");
@@ -256,224 +255,161 @@ void InferenceEngine::admit_locked(std::unique_lock<std::mutex>& lk,
         break;
     }
   }
+  lane.queue.push_back({std::move(req), Clock::now(), false});
+  queue_depth_.set(static_cast<double>(unshed_pending_locked()));
+  return Ticket{submit_epoch_, lane.queue.size() - 1, lane.task};
 }
 
-Ticket InferenceEngine::submit(VpRequest req) {
-  if (!vp_model_) throw std::invalid_argument("InferenceEngine: no VP model");
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  admit_locked(lock, vp_metrics_.rejected);
-  vp_queue_.push_back({std::move(req), Clock::now(), false});
-  if (queue_depth_) queue_depth_->set(static_cast<double>(unshed_pending_locked()));
-  return Ticket{submit_epoch_, vp_queue_.size() - 1};
-}
-
-Ticket InferenceEngine::submit(AbrRequest req) {
-  if (!abr_policy_) throw std::invalid_argument("InferenceEngine: no ABR policy");
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  admit_locked(lock, abr_metrics_.rejected);
-  abr_queue_.push_back({std::move(req), Clock::now(), false});
-  if (queue_depth_) queue_depth_->set(static_cast<double>(unshed_pending_locked()));
-  return Ticket{submit_epoch_, abr_queue_.size() - 1};
-}
-
-Ticket InferenceEngine::submit(CjsRequest req) {
-  if (!cjs_policy_) throw std::invalid_argument("InferenceEngine: no CJS policy");
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  admit_locked(lock, cjs_metrics_.rejected);
-  cjs_queue_.push_back({std::move(req), Clock::now(), false});
-  if (queue_depth_) queue_depth_->set(static_cast<double>(unshed_pending_locked()));
-  return Ticket{submit_epoch_, cjs_queue_.size() - 1};
-}
+Ticket InferenceEngine::submit(VpRequest req) { return submit_to(vp_, std::move(req)); }
+Ticket InferenceEngine::submit(AbrRequest req) { return submit_to(abr_, std::move(req)); }
+Ticket InferenceEngine::submit(CjsRequest req) { return submit_to(cjs_, std::move(req)); }
 
 std::size_t InferenceEngine::pending() const {
   std::lock_guard<std::mutex> lock(queue_mu_);
-  return vp_queue_.size() + abr_queue_.size() + cjs_queue_.size();
+  std::size_t n = 0;
+  for_each_lane(*this, [&](const auto& lane) { n += lane.queue.size(); });
+  return n;
 }
 
-namespace {
-
-[[noreturn]] void throw_stale(const char* task, const Ticket& t, std::uint64_t completed) {
-  throw StaleTicket(std::string("InferenceEngine: stale ") + task + " ticket {epoch " +
-                    std::to_string(t.epoch) + ", index " + std::to_string(t.index) +
-                    "} vs completed batch " + std::to_string(completed) +
-                    (t.epoch > completed ? " (batch not drained yet — call run())"
-                                         : " (a later run() replaced these responses)"));
-}
-
-}  // namespace
-
-const VpResponse& InferenceEngine::vp_response(const Ticket& t) const {
+template <typename L>
+const typename L::Response& InferenceEngine::response(const L& lane, const Ticket& t) const {
   std::lock_guard<std::mutex> lock(queue_mu_);
-  // Continuous resolution: a ticket from the generation currently draining
-  // resolves as soon as its own slot finished — no epoch-wide barrier.
-  if (t.epoch == draining_epoch_ && t.index < vp_done_.size() && vp_done_[t.index]) {
-    return vp_responses_.at(t.index);
+  if (t.task != lane.task) {
+    throw std::out_of_range(std::string("InferenceEngine: ") + task_name(t.task) +
+                            " ticket {epoch " + std::to_string(t.epoch) + ", index " +
+                            std::to_string(t.index) + "} presented to the " +
+                            task_name(lane.task) + " responses");
   }
-  if (t.epoch != completed_epoch_ || !responses_valid_) throw_stale("vp", t, completed_epoch_);
-  return vp_responses_.at(t.index);
+  // Continuous resolution: while a drain is in progress, a ticket from its
+  // generation resolves as soon as its own slot finished — no epoch-wide
+  // barrier. Once the drain ends its flags stay set but no longer count.
+  const bool draining = draining_epoch_ != 0;
+  if (draining && t.epoch == draining_epoch_ && t.index < lane.done.size() && lane.done[t.index]) {
+    return lane.responses[t.index];
+  }
+  if (draining || completed_epoch_ == 0 || t.epoch != completed_epoch_) {
+    throw_stale(lane.task, t, completed_epoch_);
+  }
+  return lane.responses.at(t.index);
 }
 
+const VpResponse& InferenceEngine::vp_response(const Ticket& t) const { return response(vp_, t); }
 const AbrResponse& InferenceEngine::abr_response(const Ticket& t) const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  if (t.epoch == draining_epoch_ && t.index < abr_done_.size() && abr_done_[t.index]) {
-    return abr_responses_.at(t.index);
-  }
-  if (t.epoch != completed_epoch_ || !responses_valid_) throw_stale("abr", t, completed_epoch_);
-  return abr_responses_.at(t.index);
+  return response(abr_, t);
 }
-
 const CjsResponse& InferenceEngine::cjs_response(const Ticket& t) const {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  if (t.epoch == draining_epoch_ && t.index < cjs_done_.size() && cjs_done_[t.index]) {
-    return cjs_responses_.at(t.index);
-  }
-  if (t.epoch != completed_epoch_ || !responses_valid_) throw_stale("cjs", t, completed_epoch_);
-  return cjs_responses_.at(t.index);
+  return response(cjs_, t);
 }
 
-InferenceEngine::DecideCtx InferenceEngine::start_request(const Clock::time_point admitted,
-                                                          bool already_shed,
-                                                          std::uint64_t task_id,
-                                                          std::uint64_t epoch, std::size_t index,
-                                                          ResponseMeta& meta) const {
-  DecideCtx ctx;
-  ctx.admitted = admitted;
-  ctx.retry_key = request_key(task_id, epoch, index);
-  meta.admission_wait_ms = ms_between(admitted, Clock::now());
+template <typename L>
+typename L::Response InferenceEngine::serve(L& lane, std::uint64_t epoch, std::size_t index) {
+  const auto& q = lane.drain[index];
+  typename L::Response resp;
+  ResponseMeta& meta = resp.meta;
+  using Action = std::decay_t<decltype(answer_of(resp))>;
+  meta.admission_wait_ms = ms_between(q.admitted, Clock::now());
   // Shed when: a ShedOldest victim, a shutdown drain, or the admission
   // deadline is already blown before any compute was spent — the SLO cannot
   // be met, so the primary is not called at all.
-  ctx.shed = already_shed || core::stop_requested() ||
-             (cfg_.deadline_ms > 0.0 && meta.admission_wait_ms >= cfg_.deadline_ms);
-  return ctx;
-}
-
-void InferenceEngine::finish_request(TaskMetrics& m, ResponseMeta& meta) const {
+  const bool shed = q.shed || core::stop_requested() ||
+                    (cfg_.deadline_ms > 0.0 && meta.admission_wait_ms >= cfg_.deadline_ms);
+  const int max_attempts = 1 + std::max(0, cfg_.retry_budget);
+  // Private deterministic jitter stream: seeded from the request's identity,
+  // so the backoff sequence is the same in every run at any NETLLM_THREADS.
+  core::Rng retry_rng(cfg_.retry_seed ^
+                      request_key(static_cast<std::uint64_t>(lane.task), epoch, index));
+  const auto retry = [&](int attempt) {
+    if (attempt >= max_attempts) return -1.0;
+    // Deadline-aware: when the end-to-end SLO is already blown there is no
+    // point burning another attempt — degrade to the fallback now.
+    if (cfg_.deadline_ms > 0.0 && ms_between(q.admitted, Clock::now()) >= cfg_.deadline_ms) {
+      return -1.0;
+    }
+    return next_backoff_ms(cfg_, retry_rng, attempt);
+  };
+  core::Timer timer;
+  std::unique_lock<std::mutex> policy_lock(lane.policy_mu, std::defer_lock);
+  if (lane.serialized) {
+    policy_lock.lock();
+    // Rolling-context policies serialize: everything up to here is queueing
+    // behind other requests of this lane, not this request's own work.
+    meta.queue_wait_ms = timer.elapsed_ms();
+  }
+  core::Timer compute;
+  adapt::Decision decision;
+  answer_of(resp) = lane.guard.template decide<Action>(
+      [&] {
+        // The injection site fires inside the guarded region: an armed
+        // `serve.batch` plan (throw / delay past the budget) is handled
+        // exactly like an organic LLM-path failure — this one request falls
+        // back. The latency budget covers this call only, never the policy
+        // mutex wait reported as queue_wait_ms.
+        core::fault::check("serve.batch");
+        return act(*lane.primary, q.req);
+      },
+      [&](const Action& a) { return valid(a, q.req); },
+      [&] { return act(*lane.fallback, q.req); }, shed, retry, decision);
+  meta.source = decision.source;
+  meta.retries = decision.retries;
+  meta.compute_ms = compute.elapsed_ms();
+  // A lane without a policy mutex never waits: the whole request is compute.
+  meta.latency_ms = lane.serialized ? timer.elapsed_ms() : meta.compute_ms;
   // The end-to-end SLO judges admission wait PLUS serve time — a request that
   // computed fast after queueing for ages still missed its deadline.
   meta.slo_miss = cfg_.deadline_ms > 0.0 &&
                   meta.admission_wait_ms + meta.latency_ms > cfg_.deadline_ms;
-  if (meta.slo_miss && m.slo_miss) m.slo_miss->add();
-  if (m.queue_wait_ms) m.queue_wait_ms->record(meta.queue_wait_ms);
-  if (m.compute_ms) m.compute_ms->record(meta.compute_ms);
-}
-
-VpResponse InferenceEngine::serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch,
-                                     std::size_t index) {
-  const VpRequest& req = q.req;
-  VpResponse resp;
-  const DecideCtx ctx = start_request(q.admitted, q.shed, 0, epoch, index, resp.meta);
-  core::Timer timer;
-  resp.viewports = decide<std::vector<vp::Viewport>>(
-      vp_guard_, [&] { return vp_model_->predict(req.history, req.saliency, req.horizon); },
-      [&](const std::vector<vp::Viewport>& out) { return adapt::valid_viewports(out, req.horizon); },
-      [&] { return vp_fallback_->predict(req.history, req.saliency, req.horizon); }, resp.meta,
-      ctx);
-  // VP predictors are stateless — no policy mutex, so the whole request is
-  // compute.
-  resp.meta.compute_ms = timer.elapsed_ms();
-  resp.meta.latency_ms = resp.meta.compute_ms;
-  finish_request(vp_metrics_, resp.meta);
-  return resp;
-}
-
-AbrResponse InferenceEngine::serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch,
-                                       std::size_t index) {
-  const AbrRequest& req = q.req;
-  AbrResponse resp;
-  const DecideCtx ctx = start_request(q.admitted, q.shed, 1, epoch, index, resp.meta);
-  core::Timer timer;
-  std::lock_guard<std::mutex> lock(abr_mu_);
-  // Rolling-context policies serialize: everything up to here is queueing
-  // behind other ABR requests, not this request's own work.
-  resp.meta.queue_wait_ms = timer.elapsed_ms();
-  core::Timer compute;
-  resp.level = decide<int>(
-      abr_guard_, [&] { return abr_policy_->choose_level(req.obs); },
-      [&](int level) { return adapt::valid_level(level, req.obs); },
-      [&] { return abr_fallback_->choose_level(req.obs); }, resp.meta, ctx);
-  resp.meta.compute_ms = compute.elapsed_ms();
-  resp.meta.latency_ms = timer.elapsed_ms();
-  finish_request(abr_metrics_, resp.meta);
-  return resp;
-}
-
-CjsResponse InferenceEngine::serve_cjs(const Queued<CjsRequest>& q, std::uint64_t epoch,
-                                       std::size_t index) {
-  const CjsRequest& req = q.req;
-  CjsResponse resp;
-  const DecideCtx ctx = start_request(q.admitted, q.shed, 2, epoch, index, resp.meta);
-  core::Timer timer;
-  std::lock_guard<std::mutex> lock(cjs_mu_);
-  resp.meta.queue_wait_ms = timer.elapsed_ms();
-  core::Timer compute;
-  resp.action = decide<cjs::SchedAction>(
-      cjs_guard_, [&] { return cjs_policy_->choose(req.obs); },
-      [&](const cjs::SchedAction& a) { return adapt::valid_action(a, req.obs); },
-      [&] { return cjs_fallback_->choose(req.obs); }, resp.meta, ctx);
-  resp.meta.compute_ms = compute.elapsed_ms();
-  resp.meta.latency_ms = timer.elapsed_ms();
-  finish_request(cjs_metrics_, resp.meta);
+  if (meta.slo_miss) lane.slo_miss.add();
+  lane.queue_wait_ms.record(meta.queue_wait_ms);
+  lane.compute_ms.record(meta.compute_ms);
   return resp;
 }
 
 BatchReport InferenceEngine::run() {
-  std::vector<Queued<VpRequest>> vp_jobs;
-  std::vector<Queued<AbrRequest>> abr_jobs;
-  std::vector<Queued<CjsRequest>> cjs_jobs;
   std::uint64_t epoch = 0;
+  std::size_t n_total = 0;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    vp_jobs.swap(vp_queue_);
-    abr_jobs.swap(abr_queue_);
-    cjs_jobs.swap(cjs_queue_);
     // Close this generation: tickets issued from now on belong to the next
     // drain, so a submit racing with run() can never alias into this batch.
-    epoch = submit_epoch_;
-    ++submit_epoch_;
-    if (queue_depth_) queue_depth_->set(0.0);
+    epoch = submit_epoch_++;
+    queue_depth_.set(0.0);
     // The previous generation's responses are being replaced; tickets for
     // them are stale from here on. Tickets for THIS generation resolve
     // continuously through the done flags as their slots finish.
-    responses_valid_ = false;
     draining_epoch_ = epoch;
-    vp_responses_.assign(vp_jobs.size(), {});
-    abr_responses_.assign(abr_jobs.size(), {});
-    cjs_responses_.assign(cjs_jobs.size(), {});
-    vp_done_.assign(vp_jobs.size(), 0);
-    abr_done_.assign(abr_jobs.size(), 0);
-    cjs_done_.assign(cjs_jobs.size(), 0);
+    for_each_lane(*this, [&](auto& lane) {
+      lane.drain.swap(lane.queue);
+      lane.queue.clear();
+      lane.responses.assign(lane.drain.size(), {});
+      lane.done.assign(lane.drain.size(), 0);
+      n_total += lane.drain.size();
+    });
   }
-  // The swap freed every queue slot: wake producers blocked in admit_locked.
+  // The swap freed every queue slot: wake producers blocked in submit.
   queue_cv_.notify_all();
 
-  // Deterministic schedule over the three queues: task priority first
-  // (higher wins), then admission order — an EDF-flavoured FIFO, since every
+  // Deterministic schedule over the lanes: task priority first (higher
+  // wins), then admission order — an EDF-flavoured FIFO, since every
   // request shares its task's deadline offset. The order depends only on the
   // submission sequence, never on thread timing.
   struct Job {
-    int task;  // 0 = vp, 1 = abr, 2 = cjs
+    Task task;
     std::size_t index;
+    int priority;
+    Clock::time_point admitted;
   };
   std::vector<Job> order;
-  order.reserve(vp_jobs.size() + abr_jobs.size() + cjs_jobs.size());
-  for (std::size_t i = 0; i < vp_jobs.size(); ++i) order.push_back({0, i});
-  for (std::size_t i = 0; i < abr_jobs.size(); ++i) order.push_back({1, i});
-  for (std::size_t i = 0; i < cjs_jobs.size(); ++i) order.push_back({2, i});
-  const auto priority = [&](int task) {
-    return task == 0 ? cfg_.vp_priority : task == 1 ? cfg_.abr_priority : cfg_.cjs_priority;
-  };
-  const auto admitted = [&](const Job& j) {
-    return j.task == 0   ? vp_jobs[j.index].admitted
-           : j.task == 1 ? abr_jobs[j.index].admitted
-                         : cjs_jobs[j.index].admitted;
-  };
-  std::stable_sort(order.begin(), order.end(), [&](const Job& a, const Job& b) {
-    if (priority(a.task) != priority(b.task)) return priority(a.task) > priority(b.task);
-    return admitted(a) < admitted(b);
+  order.reserve(n_total);
+  for_each_lane(*this, [&](const auto& lane) {
+    for (std::size_t i = 0; i < lane.drain.size(); ++i) {
+      order.push_back({lane.task, i, lane.priority, lane.drain[i].admitted});
+    }
+  });
+  std::stable_sort(order.begin(), order.end(), [](const Job& a, const Job& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return a.admitted < b.admitted;
   });
 
-  const std::size_t n_total = order.size();
   const std::uint64_t hits_before = arena_ ? arena_->prefix_hits() : 0;
   // Continuous batching: `slots` workers each pull the next scheduled job
   // the moment their current one finishes — no slot idles while work is
@@ -491,22 +427,13 @@ BatchReport InferenceEngine::run() {
         if (i >= n_total) break;
         const Job job = order[i];
         core::trace::Span span(core::trace::Phase::kSchedStep);
-        if (job.task == 0) {
-          auto resp = serve_vp(vp_jobs[job.index], epoch, job.index);
+        for_each_lane(*this, [&](auto& lane) {
+          if (lane.task != job.task) return;
+          auto resp = serve(lane, epoch, job.index);
           std::lock_guard<std::mutex> lock(queue_mu_);
-          vp_responses_[job.index] = std::move(resp);
-          vp_done_[job.index] = 1;
-        } else if (job.task == 1) {
-          auto resp = serve_abr(abr_jobs[job.index], epoch, job.index);
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          abr_responses_[job.index] = std::move(resp);
-          abr_done_[job.index] = 1;
-        } else {
-          auto resp = serve_cjs(cjs_jobs[job.index], epoch, job.index);
-          std::lock_guard<std::mutex> lock(queue_mu_);
-          cjs_responses_[job.index] = std::move(resp);
-          cjs_done_[job.index] = 1;
-        }
+          lane.responses[job.index] = std::move(resp);
+          lane.done[job.index] = 1;
+        });
       }
     }
   });
@@ -514,35 +441,32 @@ BatchReport InferenceEngine::run() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     completed_epoch_ = epoch;  // tickets from this generation resolve now
     draining_epoch_ = 0;
-    responses_valid_ = true;
   }
 
   BatchReport report;
-  report.requests = static_cast<std::size_t>(n_total);
+  report.requests = n_total;
   report.drained_on_stop = core::stop_requested();
   report.prefix_hits =
       arena_ ? static_cast<std::size_t>(arena_->prefix_hits() - hits_before) : 0;
   std::vector<double> latencies, waits, computes, e2e;
-  latencies.reserve(report.requests);
-  waits.reserve(report.requests);
-  computes.reserve(report.requests);
-  e2e.reserve(report.requests);
-  auto account = [&](const ResponseMeta& meta) {
-    switch (meta.source) {
-      case Source::kLlm: ++report.llm; break;
-      case Source::kRetried: ++report.retried; break;
-      case Source::kFallback: ++report.fallback; break;
-      case Source::kShed: ++report.shed; break;
+  for (auto* series : {&latencies, &waits, &computes, &e2e}) series->reserve(n_total);
+  for_each_lane(*this, [&](auto& lane) {
+    lane.drain.clear();  // the requests are served; free their inputs now
+    for (const auto& r : lane.responses) {
+      const ResponseMeta& meta = r.meta;
+      switch (meta.source) {
+        case Source::kLlm: ++report.llm; break;
+        case Source::kRetried: ++report.retried; break;
+        case Source::kFallback: ++report.fallback; break;
+        case Source::kShed: ++report.shed; break;
+      }
+      if (meta.slo_miss) ++report.slo_miss;
+      latencies.push_back(meta.latency_ms);
+      waits.push_back(meta.queue_wait_ms);
+      computes.push_back(meta.compute_ms);
+      e2e.push_back(meta.admission_wait_ms + meta.latency_ms);
     }
-    if (meta.slo_miss) ++report.slo_miss;
-    latencies.push_back(meta.latency_ms);
-    waits.push_back(meta.queue_wait_ms);
-    computes.push_back(meta.compute_ms);
-    e2e.push_back(meta.admission_wait_ms + meta.latency_ms);
-  };
-  for (const auto& r : vp_responses_) account(r.meta);
-  for (const auto& r : abr_responses_) account(r.meta);
-  for (const auto& r : cjs_responses_) account(r.meta);
+  });
   if (!latencies.empty()) {
     report.p50_ms = core::percentile(latencies, 50.0);
     report.p99_ms = core::percentile(latencies, 99.0);
@@ -557,38 +481,22 @@ BatchReport InferenceEngine::run() {
 }
 
 void InferenceEngine::begin_abr_session() {
-  std::lock_guard<std::mutex> lock(abr_mu_);
-  if (abr_policy_) abr_policy_->begin_session();
-  abr_fallback_->begin_session();
+  tell_both(abr_, [](abr::AbrPolicy& p) { p.begin_session(); });
 }
-
 void InferenceEngine::observe_abr_result(const abr::ChunkResult& result, double chunk_qoe) {
-  std::lock_guard<std::mutex> lock(abr_mu_);
-  if (abr_policy_) abr_policy_->observe_result(result, chunk_qoe);
-  abr_fallback_->observe_result(result, chunk_qoe);
+  tell_both(abr_, [&](abr::AbrPolicy& p) { p.observe_result(result, chunk_qoe); });
 }
-
 void InferenceEngine::begin_cjs_episode() {
-  std::lock_guard<std::mutex> lock(cjs_mu_);
-  if (cjs_policy_) cjs_policy_->begin_episode();
-  cjs_fallback_->begin_episode();
+  tell_both(cjs_, [](cjs::SchedPolicy& p) { p.begin_episode(); });
 }
-
 void InferenceEngine::observe_cjs_reward(double reward) {
-  std::lock_guard<std::mutex> lock(cjs_mu_);
-  if (cjs_policy_) cjs_policy_->observe_reward(reward);
-  cjs_fallback_->observe_reward(reward);
+  tell_both(cjs_, [&](cjs::SchedPolicy& p) { p.observe_reward(reward); });
 }
 
 adapt::GuardCounters InferenceEngine::counters() const {
-  adapt::GuardCounters total = vp_guard_.counters();
-  total += abr_guard_.counters();
-  total += cjs_guard_.counters();
+  adapt::GuardCounters total;
+  for_each_lane(*this, [&](const auto& lane) { total += lane.guard.counters(); });
   return total;
 }
-
-adapt::Health InferenceEngine::vp_health() const { return vp_guard_.health(); }
-adapt::Health InferenceEngine::abr_health() const { return abr_guard_.health(); }
-adapt::Health InferenceEngine::cjs_health() const { return cjs_guard_.health(); }
 
 }  // namespace netllm::serve

@@ -90,13 +90,19 @@ struct CjsResponse {
   ResponseMeta meta;
 };
 
-/// Handle returned by `submit`: identifies one response slot in the batch
-/// generation (`epoch`) that will serve it. Tickets from a previous
-/// generation do not alias into the current one — looking them up throws
-/// `StaleTicket` instead of silently returning another request's answer.
+/// The three served tasks; each owns one lane of the engine.
+enum class Task : std::uint8_t { kVp = 0, kAbr = 1, kCjs = 2 };
+
+/// Handle returned by `submit`: identifies one response slot of one task in
+/// the batch generation (`epoch`) that will serve it. Tickets from a
+/// previous generation do not alias into the current one — looking them up
+/// throws `StaleTicket` instead of silently returning another request's
+/// answer — and a ticket presented to another task's lookup throws
+/// `std::out_of_range`, even when that task has a response at its index.
 struct Ticket {
   std::uint64_t epoch = 0;  // run() generation that serves this request
   std::size_t index = 0;    // slot in that generation's response vector
+  Task task = Task::kVp;    // the lane whose queue issued this ticket
 };
 
 /// A ticket was presented to the wrong batch generation: either its batch
@@ -153,7 +159,6 @@ struct EngineConfig {
   double latency_budget_ms = 0.0;       // per primary call; 0 = no budget
   int breaker_threshold = 3;            // consecutive failures opening the breaker
   int breaker_cooldown = 8;             // requests served by fallback while open
-  std::string counter_prefix = "serve.";  // metric namespace; empty disables
 
   // ---- admission control (DESIGN.md §12) ----
   std::size_t max_queue = 0;  // bound on queued-unshed requests; 0 = unbounded
@@ -200,17 +205,18 @@ struct EngineConfig {
 double retry_backoff_ms(const EngineConfig& cfg, std::uint64_t request_key, int attempt);
 
 /// KV-cache-era serving substrate: one engine owns up to three adapted
-/// models (any subset), a per-task guard state and a per-task fallback.
+/// models (any subset), each in its own lane with a guard state and a
+/// fallback. All metrics go under `serve.` (`serve.<task>.` per lane).
 /// `submit` enqueues (thread-safe, subject to admission control) and returns
-/// a `Ticket` for the matching response slot; `run()` drains the queue and
+/// a `Ticket` for the matching response slot; `run()` drains the queues and
 /// fills `*_responses()`. Once `core::stop_requested()` is set, `submit`
 /// throws `Overloaded` and `run()` drains what is queued via the fallback
 /// (Source::kShed), returning the final BatchReport.
 class InferenceEngine {
  public:
   /// Any model may be null — submitting a request for a missing model
-  /// throws. Null fallbacks default to LinearRegressionVp / Bba /
-  /// FifoScheduler, matching the guarded wrappers.
+  /// throws. Null fallbacks default to the task's rule-based baseline
+  /// (`adapt::fallback_or_default`, shared with the guarded wrappers).
   InferenceEngine(std::shared_ptr<vp::VpPredictor> vp_model,
                   std::shared_ptr<abr::AbrPolicy> abr_policy,
                   std::shared_ptr<cjs::SchedPolicy> cjs_policy, EngineConfig cfg = {},
@@ -245,14 +251,14 @@ class InferenceEngine {
   /// the epoch barrier). Throws `StaleTicket` if the ticket's request has no
   /// response yet or a later `run()` already replaced its generation, and
   /// `std::out_of_range` if the ticket was issued for a different task's
-  /// queue.
+  /// queue or its index is past the batch.
   const VpResponse& vp_response(const Ticket& t) const;
   const AbrResponse& abr_response(const Ticket& t) const;
   const CjsResponse& cjs_response(const Ticket& t) const;
 
-  const std::vector<VpResponse>& vp_responses() const { return vp_responses_; }
-  const std::vector<AbrResponse>& abr_responses() const { return abr_responses_; }
-  const std::vector<CjsResponse>& cjs_responses() const { return cjs_responses_; }
+  const std::vector<VpResponse>& vp_responses() const { return vp_.responses; }
+  const std::vector<AbrResponse>& abr_responses() const { return abr_.responses; }
+  const std::vector<CjsResponse>& cjs_responses() const { return cjs_.responses; }
 
   // Session lifecycle passthroughs: both the primary and its fallback see
   // real outcomes, mirroring the guarded wrappers, so a stateful policy pair
@@ -267,9 +273,9 @@ class InferenceEngine {
   /// Per-task health (DESIGN.md §12): Healthy on first-try successes,
   /// Degraded once failures/retries appear, Open while the breaker cools.
   /// Also exported as the serve.<task>.health gauge (0 / 1 / 2).
-  adapt::Health vp_health() const;
-  adapt::Health abr_health() const;
-  adapt::Health cjs_health() const;
+  adapt::Health vp_health() const { return vp_.guard.health(); }
+  adapt::Health abr_health() const { return abr_.guard.health(); }
+  adapt::Health cjs_health() const { return cjs_.guard.health(); }
   const EngineConfig& config() const { return cfg_; }
   /// The pooled KV arena injected into a VpAdapter primary (DESIGN.md §13);
   /// null when `arena_pages` is 0 or the VP model is not a VpAdapter.
@@ -288,86 +294,84 @@ class InferenceEngine {
     bool shed = false;
   };
 
-  /// Per-request context threaded into decide(): the admission stamp (for
-  /// the end-to-end deadline), whether the request was already shed, and the
-  /// key selecting its deterministic retry-jitter stream.
-  struct DecideCtx {
-    Clock::time_point admitted{};
-    bool shed = false;
-    std::uint64_t retry_key = 0;
+  /// Everything the engine keeps per task (DESIGN.md §12): the model pair,
+  /// its guard and metrics, its schedule priority, the admission queue, the
+  /// request generation being drained, and the response slots with their
+  /// continuous-resolution done flags. The engine's queue_mu_ guards the
+  /// queue, responses and done flags; `drain` belongs to run().
+  template <typename Req, typename Resp, typename Model>
+  struct Lane {
+    using Response = Resp;
+    /// A null `fallback` defaults to the task's rule-based baseline.
+    Lane(Task task, std::shared_ptr<Model> primary, std::shared_ptr<Model> fallback,
+         const EngineConfig& cfg, int priority, bool serialized);
+
+    const Task task;
+    std::shared_ptr<Model> primary, fallback;
+    adapt::GuardEngine guard;
+    // serve.<task>.* handles registered once (DESIGN.md §11); the guard
+    // counters live in `guard`.
+    core::metrics::Counter& slo_miss;
+    core::metrics::Counter& rejected;
+    core::metrics::Histogram& queue_wait_ms;
+    core::metrics::Histogram& compute_ms;
+    const int priority;
+    // ABR/CJS policies keep rolling context, so their calls serialize on
+    // policy_mu; VP predictors are stateless and never take it.
+    const bool serialized;
+    std::mutex policy_mu;
+    std::vector<Queued<Req>> queue;  // admitted, not yet drained
+    std::vector<Queued<Req>> drain;  // the generation run() is serving
+    std::vector<Resp> responses;
+    // A slot flips its request's entry (under queue_mu_) the moment the
+    // response is ready, for the draining generation.
+    std::vector<char> done;
   };
-  /// Pre-registered engine-level metric handles for one task (DESIGN.md
-  /// §11); the guard counters live in the task's GuardEngine. All null when
-  /// `counter_prefix` is empty.
-  struct TaskMetrics {
-    core::metrics::Counter* slo_miss = nullptr;
-    core::metrics::Counter* rejected = nullptr;
-    core::metrics::Histogram* queue_wait_ms = nullptr;
-    core::metrics::Histogram* compute_ms = nullptr;
-  };
-  TaskMetrics make_task_metrics(const char* task) const;
 
-  /// One guarded decision through `guard` with this engine's per-request
-  /// inputs: the shed flag, the seeded retry/backoff policy with its
-  /// deadline check, and the `serve.batch` fault site inside the guarded
-  /// region. Stamps the serving path and retries into `meta`.
-  template <typename Action, typename Primary, typename Validate, typename Fallback>
-  Action decide(adapt::GuardEngine& guard, Primary&& primary, Validate&& valid,
-                Fallback&& fallback, ResponseMeta& meta, const DecideCtx& ctx);
+  /// Calls f(lane) for every lane of `self` (const or not), in the fixed
+  /// vp, abr, cjs order that breaks schedule and shed-oldest ties.
+  template <typename Self, typename F>
+  static void for_each_lane(Self& self, F&& f) {
+    f(self.vp_);
+    f(self.abr_);
+    f(self.cjs_);
+  }
 
-  /// Stamps the admission wait into `meta` and builds the decide() context:
-  /// shed when the request was a ShedOldest victim, a shutdown drain is in
-  /// progress, or its deadline already passed before any compute was spent.
-  DecideCtx start_request(Clock::time_point admitted, bool already_shed, std::uint64_t task_id,
-                          std::uint64_t epoch, std::size_t index, ResponseMeta& meta) const;
-  /// End-of-request SLO accounting (admission wait + serve time vs
-  /// deadline_ms) plus the latency histograms.
-  void finish_request(TaskMetrics& m, ResponseMeta& meta) const;
+  /// Serves request `index` of the lane's draining generation: one guarded
+  /// decision with the request's shed flag, the seeded retry/backoff policy
+  /// with its deadline check and the `serve.batch` fault site inside the
+  /// guarded region, then the end-to-end SLO accounting and histograms.
+  template <typename L>
+  typename L::Response serve(L& lane, std::uint64_t epoch, std::size_t index);
+  /// Enqueues `req` on the lane behind the admission gate: applies the
+  /// configured policy when the queue is full and throws Overloaded when
+  /// admission is closed, counting it on the lane's `rejected` counter.
+  template <typename L, typename Req>
+  Ticket submit_to(L& lane, Req req);
+  template <typename L>
+  const typename L::Response& response(const L& lane, const Ticket& t) const;
 
-  VpResponse serve_vp(const Queued<VpRequest>& q, std::uint64_t epoch, std::size_t index);
-  AbrResponse serve_abr(const Queued<AbrRequest>& q, std::uint64_t epoch, std::size_t index);
-  CjsResponse serve_cjs(const Queued<CjsRequest>& q, std::uint64_t epoch, std::size_t index);
-
-  /// Admission gate shared by the three submits; runs under queue_mu_ (the
-  /// lock is `lk`). Applies the configured policy when the queue is full and
-  /// throws Overloaded when admission is closed. `rejected` is the task's
-  /// rejection counter (may be null).
-  void admit_locked(std::unique_lock<std::mutex>& lk, core::metrics::Counter* rejected);
-  /// Unshed queued requests across the three queues. Caller holds queue_mu_.
+  /// Unshed queued requests across the lanes. Caller holds queue_mu_.
   std::size_t unshed_pending_locked() const;
   /// Marks the oldest unshed queued request as shed. Caller holds queue_mu_.
   void shed_oldest_locked();
 
   EngineConfig cfg_;
-  std::shared_ptr<vp::VpPredictor> vp_model_, vp_fallback_;
-  std::shared_ptr<abr::AbrPolicy> abr_policy_, abr_fallback_;
-  std::shared_ptr<cjs::SchedPolicy> cjs_policy_, cjs_fallback_;
-
-  adapt::GuardEngine vp_guard_, abr_guard_, cjs_guard_;
-  TaskMetrics vp_metrics_, abr_metrics_, cjs_metrics_;
-  core::metrics::Gauge* queue_depth_ = nullptr;  // serve.queue_depth
-  core::metrics::Counter* admission_wakeups_ = nullptr;  // serve.admission.wakeups
-  std::mutex abr_mu_, cjs_mu_;  // serialize stateful policy calls
+  Lane<VpRequest, VpResponse, vp::VpPredictor> vp_;
+  Lane<AbrRequest, AbrResponse, abr::AbrPolicy> abr_;
+  Lane<CjsRequest, CjsResponse, cjs::SchedPolicy> cjs_;
+  core::metrics::Gauge& queue_depth_;        // serve.queue_depth
+  core::metrics::Counter& admission_wakeups_;  // serve.admission.wakeups
   std::shared_ptr<nn::KvArena> arena_;  // pooled KV pages + warm prefixes (VP)
 
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;   // signaled when run() frees queue space
   std::uint64_t submit_epoch_ = 1;     // generation stamped onto new tickets
   std::uint64_t completed_epoch_ = 0;  // generation the response vectors hold
-  std::uint64_t draining_epoch_ = 0;   // generation run() is draining (0 = idle)
-  // False while a drain is rebuilding the response vectors: tickets from the
-  // completed generation are already "replaced by a later run()" then.
-  bool responses_valid_ = false;
-  std::vector<Queued<VpRequest>> vp_queue_;
-  std::vector<Queued<AbrRequest>> abr_queue_;
-  std::vector<Queued<CjsRequest>> cjs_queue_;
-
-  std::vector<VpResponse> vp_responses_;
-  std::vector<AbrResponse> abr_responses_;
-  std::vector<CjsResponse> cjs_responses_;
-  // Continuous-resolution flags for the draining generation: a slot flips
-  // its request's entry (under queue_mu_) the moment the response is ready.
-  std::vector<char> vp_done_, abr_done_, cjs_done_;
+  // Generation run() is draining (0 = idle). While a drain rebuilds the
+  // response vectors, tickets from the completed generation are already
+  // "replaced by a later run()".
+  std::uint64_t draining_epoch_ = 0;
 };
 
 }  // namespace netllm::serve

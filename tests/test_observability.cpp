@@ -308,8 +308,8 @@ INSTANTIATE_TEST_SUITE_P(Tasks, ObservabilityAdapt, adapt_cases::all_tasks(),
 // ---------- ticket epochs (submit/run aliasing fix) ----------
 
 TEST_F(Observability, TicketsRejectLookupsAgainstTheWrongBatch) {
-  auto engine =
-      std::make_shared<serve::InferenceEngine>(std::make_shared<TrivialVp>(), nullptr, nullptr);
+  auto engine = std::make_shared<serve::InferenceEngine>(
+      std::make_shared<TrivialVp>(), std::make_shared<netllm::baselines::Bba>(), nullptr);
   const auto t1 = engine->submit(trivial_vp_request());
   EXPECT_EQ(t1.index, 0u);
   // Not drained yet: the generation has not run.
@@ -328,6 +328,31 @@ TEST_F(Observability, TicketsRejectLookupsAgainstTheWrongBatch) {
   EXPECT_EQ(engine->vp_response(t2).viewports.size(), 3u);
   // A ticket for the wrong task's queue is an index error, not an alias.
   EXPECT_THROW(engine->abr_response(t2), std::out_of_range);
+  // A default-constructed ticket (epoch 0) once passed the "draining" check
+  // after run() reset the draining epoch to 0 while the done flags stayed
+  // set, aliasing the last batch's request 0.
+  EXPECT_THROW(engine->vp_response(serve::Ticket{}), serve::StaleTicket);
+
+  // The wrong task's lookup when that task DOES have a response at the same
+  // {epoch, index}: once checked by index alone, so the VP ticket returned
+  // the ABR answer.
+  const auto vp_ticket = engine->submit(trivial_vp_request());
+  const auto abr_ticket = engine->submit(serve::AbrRequest{abr_observation()});
+  // Both tasks' first slot in one generation: the same {epoch, index}.
+  ASSERT_EQ(vp_ticket.epoch, abr_ticket.epoch);
+  ASSERT_EQ(vp_ticket.index, abr_ticket.index);
+  engine->run();
+  EXPECT_EQ(engine->vp_response(vp_ticket).viewports.size(), 2u);
+  EXPECT_GE(engine->abr_response(abr_ticket).level, 0);
+  try {
+    engine->abr_response(vp_ticket);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("vp ticket"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("abr responses"), std::string::npos) << msg;
+  }
+  EXPECT_THROW(engine->vp_response(abr_ticket), std::out_of_range);
 }
 
 TEST_F(Observability, StaleTicketMessageNamesPresentedEpochIndexAndCurrentEpoch) {
@@ -524,11 +549,20 @@ TEST_F(Observability, ResponseMetaSplitsQueueWaitFromCompute) {
   ThreadGuard guard;
   nc::set_global_threads(4);
   auto engine = std::make_shared<serve::InferenceEngine>(
-      nullptr, std::make_shared<netllm::baselines::Bba>(), nullptr);
+      std::make_shared<TrivialVp>(), std::make_shared<netllm::baselines::Bba>(), nullptr);
   constexpr int kReqs = 6;
-  for (int i = 0; i < kReqs; ++i) engine->submit(serve::AbrRequest{abr_observation()});
+  for (int i = 0; i < kReqs; ++i) {
+    engine->submit(serve::AbrRequest{abr_observation()});
+    engine->submit(trivial_vp_request());
+  }
   const auto report = engine->run();
-  ASSERT_EQ(report.requests, static_cast<std::size_t>(kReqs));
+  ASSERT_EQ(report.requests, static_cast<std::size_t>(2 * kReqs));
+  for (const auto& resp : engine->vp_responses()) {
+    // VP predictors are stateless and take no policy mutex: no wait share,
+    // the whole latency is the guarded decision.
+    EXPECT_EQ(resp.meta.queue_wait_ms, 0.0);
+    EXPECT_EQ(resp.meta.latency_ms, resp.meta.compute_ms);
+  }
   for (const auto& resp : engine->abr_responses()) {
     // latency = wait-for-the-policy-mutex + guarded decision. The budget
     // applies to compute only, so the split must reconstruct the total.
