@@ -1,24 +1,21 @@
 #!/usr/bin/env bash
 # Sanitizer gate: builds the ASAN, UBSAN and TSAN variants of the test
 # suites, each in its own build directory, and runs the labelled suites
-# there. Stops with a non-zero exit at the first build or test failure.
-#
-#   ./check.sh                 # all three gates
-#   ./check.sh tsan            # one gate: asan | ubsan | tsan
-#   JOBS=2 ./check.sh          # build/test parallelism (default: nproc)
-#
-#   asan   build-asan   -DNETLLM_SANITIZE=address    memory labels
-#   ubsan  build-ubsan  -DNETLLM_SANITIZE=undefined  memory labels, halt_on_error=1
-#   tsan   build-tsan   -DNETLLM_SANITIZE=thread     thread labels
-#
-# Only the test executables of the selected labels are built, not the
+# there, in that order. Stops with a non-zero exit at the first build or
+# test failure. Only the test executables of the labels are built, not the
 # benches or examples.
+#
+#   asan   build-asan   -DNETLLM_SANITIZE=address    MEMORY_LABELS
+#   ubsan  build-ubsan  -DNETLLM_SANITIZE=undefined  MEMORY_LABELS, halt_on_error=1
+#   tsan   build-tsan   -DNETLLM_SANITIZE=thread     THREAD_LABELS
+#
+# These two label sets are the one list of which suites run under which
+# sanitizer; add a new suite's ctest label here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-JOBS="${JOBS:-$(nproc)}"
 MEMORY_LABELS="serialize|session|adapt|quant|inference|sched|isa"
-THREAD_LABELS="parallel|observability|chaos|sched"
+THREAD_LABELS="parallel|observability|chaos|sched|quant|isa|serialize|session|adapt"
 
 # gate <sanitizer> <build dir> <ctest label regex>
 gate() {
@@ -32,29 +29,11 @@ gate() {
     exit 1
   fi
   # shellcheck disable=SC2086  # one target per word
-  cmake --build "${dir}" -j "${JOBS}" --target ${tests}
-  (cd "${dir}" && ctest -L "${labels}" --output-on-failure -j "${JOBS}")
+  cmake --build "${dir}" -j "$(nproc)" --target ${tests}
+  (cd "${dir}" && ctest -L "${labels}" --output-on-failure -j "$(nproc)")
 }
 
-want="${1:-all}"
-case "${want}" in
-  all | asan | ubsan | tsan) ;;
-  *)
-    echo "usage: $0 [asan|ubsan|tsan]" >&2
-    exit 2
-    ;;
-esac
-
-if [ "${want}" = all ] || [ "${want}" = asan ]; then
-  gate address build-asan "${MEMORY_LABELS}"
-fi
-if [ "${want}" = all ] || [ "${want}" = ubsan ]; then
-  (
-    export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
-    gate undefined build-ubsan "${MEMORY_LABELS}"
-  )
-fi
-if [ "${want}" = all ] || [ "${want}" = tsan ]; then
-  gate thread build-tsan "${THREAD_LABELS}"
-fi
-echo "== check.sh: ${want} passed"
+gate address build-asan "${MEMORY_LABELS}"
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" gate undefined build-ubsan "${MEMORY_LABELS}"
+gate thread build-tsan "${THREAD_LABELS}"
+echo "== check.sh: passed"

@@ -415,8 +415,10 @@ BatchReport InferenceEngine::run() {
   // the moment their current one finishes — no slot idles while work is
   // queued, and a single slow request delays only itself. Each request's
   // tensor ops run inline inside its slot (no nested parallelism), so every
-  // response is bitwise the single-request answer at any NETLLM_THREADS; at
-  // one thread the pulls happen in exact schedule order.
+  // VP response is bitwise the single-request answer at any NETLLM_THREADS;
+  // at one thread the pulls happen in exact schedule order. ABR/CJS requests
+  // take their lane's policy mutex in slot-timing order, so with several of
+  // them in one drain their answers are reproducible only at one slot.
   const std::size_t slots =
       cfg_.max_slots == 0 ? n_total : std::min(cfg_.max_slots, n_total);
   std::atomic<std::size_t> next{0};

@@ -238,11 +238,14 @@ class InferenceEngine {
   /// ordered deterministically (task priority, then admission order) and
   /// `max_slots` in-flight slots pull the next job the moment one finishes —
   /// continuous batching instead of an epoch-wide barrier. Each request's
-  /// tensor work still runs inline inside its slot, so every response stays
-  /// bitwise identical to serving that request alone at any NETLLM_THREADS.
-  /// ABR/CJS decisions serialize on their policy's mutex because those
-  /// policies keep rolling context — `ResponseMeta::queue_wait_ms` carries
-  /// the wait.
+  /// tensor work still runs inline inside its slot, so every VP response
+  /// stays bitwise identical to serving that request alone at any
+  /// NETLLM_THREADS. ABR/CJS decisions serialize on their policy's mutex
+  /// because those policies keep rolling context — `ResponseMeta::queue_wait_ms`
+  /// carries the wait — so their answers are bitwise reproducible only with
+  /// one slot (`max_slots = 1` or NETLLM_THREADS=1) or at most one request
+  /// per stateful task in the drain: otherwise the slots take the mutex in
+  /// thread-timing order and the rolling context sees them in that order.
   BatchReport run();
 
   /// Resolve a ticket. A ticket resolves against the most recently completed
