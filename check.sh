@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-MEMORY_LABELS="serialize|session|adapt|quant|inference|sched|isa"
+MEMORY_LABELS="autograd|serialize|session|adapt|quant|inference|sched|isa"
 THREAD_LABELS="parallel|observability|chaos|sched|quant|isa|serialize|session|adapt"
 
 # gate <sanitizer> <build dir> <ctest label regex>

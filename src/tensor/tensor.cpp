@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 #include "core/threadpool.hpp"
 #include "tensor/kernels.hpp"
@@ -26,6 +27,12 @@ void track_alloc(std::int64_t n) {
 
 void check(bool cond, const char* msg) {
   if (!cond) throw std::invalid_argument(msg);
+}
+
+/// check() for the scaffolds, which know their op only by name: throws
+/// "<op>: <what>".
+void check(bool cond, const char* op, const char* what) {
+  if (!cond) throw std::invalid_argument(std::string(op) + ": " + what);
 }
 
 /// Build an op-result node whose requires_grad is the OR of its parents'.
@@ -58,6 +65,107 @@ void parallel_elems(std::size_t n, Fn&& fn) {
                      [&fn](std::int64_t b, std::int64_t e) {
                        fn(static_cast<std::size_t>(b), static_cast<std::size_t>(e));
                      });
+}
+
+// ---- the two op scaffolds ----
+// Every elementwise op is one call into `pointwise` and every row-softmax op
+// one call into `rowwise`. Only `pointwise` applies kElemGrain; only
+// `rowwise` and layer_norm_rows' forward apply kSoftmaxRowGrain. An op
+// passes its per-element or per-row math as inlined functors: a forward and
+// a derivative that *accumulates* into the input gradient (dx += ...)
+// rather than returning a term, so relu can add nothing at all where x <= 0
+// (adding g*0 would turn an inf upstream gradient into NaN).
+
+/// y[i] = fwd(x[i]); the backward runs dx(gx[i], gy[i], x[i], y[i]).
+template <typename Fwd, typename Dx>
+Tensor pointwise(const Tensor& a, Fwd fwd, Dx dx) {
+  auto node = make_result(a.shape(), {a.node()});
+  const auto n = static_cast<std::size_t>(node->numel());
+  const float* x = a.data().data();
+  float* y = node->value.data();
+  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
+    for (std::size_t i = b0; i < e0; ++i) y[i] = fwd(x[i]);
+  });
+  if (node->requires_grad) {
+    Node* pa = a.node().get();
+    node->backward = [pa, n, dx](Node& self) {
+      pa->ensure_grad();
+      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
+        for (std::size_t i = b0; i < e0; ++i) {
+          dx(pa->grad[i], self.grad[i], pa->value[i], self.value[i]);
+        }
+      });
+    };
+  }
+  return Tensor(node);
+}
+
+/// y[i] = fwd(a[i], b[i]) for a symmetric op (add, mul): one derivative
+/// serves both parents with the operands swapped. The backward runs
+/// dx(ga[i], gy[i], a[i], b[i]) and then dx(gb[i], gy[i], b[i], a[i]),
+/// skipping a parent that does not require grad.
+template <typename Fwd, typename Dx>
+Tensor pointwise(const Tensor& a, const Tensor& b, const char* op, Fwd fwd, Dx dx) {
+  check(a.shape() == b.shape(), op, "shape mismatch");
+  auto node = make_result(a.shape(), {a.node(), b.node()});
+  const auto n = static_cast<std::size_t>(node->numel());
+  const float* xa = a.data().data();
+  const float* xb = b.data().data();
+  float* y = node->value.data();
+  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
+    for (std::size_t i = b0; i < e0; ++i) y[i] = fwd(xa[i], xb[i]);
+  });
+  if (node->requires_grad) {
+    Node* pa = a.node().get();
+    Node* pb = b.node().get();
+    node->backward = [pa, pb, n, dx](Node& self) {
+      for (auto [p, other] : {std::pair{pa, pb}, std::pair{pb, pa}}) {
+        if (!p->requires_grad) continue;
+        p->ensure_grad();
+        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
+          for (std::size_t i = b0; i < e0; ++i) {
+            dx(p->grad[i], self.grad[i], p->value[i], other->value[i]);
+          }
+        });
+      }
+    };
+  }
+  return Tensor(node);
+}
+
+/// Row-wise op over a [m, n] tensor. Row::forward(x, y, w) writes one row of
+/// width w and Row::backward(y, dy, dx, w) accumulates that row's input
+/// gradient. The width is n, or i + 1 when `causal`: then the input must be
+/// square and columns past i get 0 and no gradient.
+template <typename Row>
+Tensor rowwise(const Tensor& a, const char* op, bool causal) {
+  check(a.rank() == 2, op, "rank-2 tensor required");
+  const auto m = a.dim(0), n = a.dim(1);
+  check(!causal || n == m, op, "square matrix required");
+  check(m == 0 || n > 0, op, "zero-width rows");
+  auto node = make_result({m, n}, {a.node()});
+  const float* x = a.data().data();
+  float* y = node->value.data();
+  core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0; i < r1; ++i) {
+      const auto w = causal ? i + 1 : n;
+      Row::forward(x + i * n, y + i * n, w);
+      std::fill(y + i * n + w, y + (i + 1) * n, 0.0f);
+    }
+  });
+  if (node->requires_grad) {
+    Node* pa = a.node().get();
+    node->backward = [pa, m, n, causal](Node& self) {
+      pa->ensure_grad();
+      core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t i = r0; i < r1; ++i) {
+          Row::backward(self.value.data() + i * n, self.grad.data() + i * n,
+                        pa->grad.data() + i * n, causal ? i + 1 : n);
+        }
+      });
+    };
+  }
+  return Tensor(node);
 }
 
 }  // namespace
@@ -227,126 +335,21 @@ Tensor Tensor::detach() const {
 // ---- elementwise ----
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  check(a.shape() == b.shape(), "add: shape mismatch");
-  auto node = make_result(a.shape(), {a.node(), b.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = a.data()[i] + b.data()[i];
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    Node* pb = b.node().get();
-    node->backward = [pa, pb, n](Node& self) {
-      if (pa->requires_grad) {
-        pa->ensure_grad();
-        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-          for (std::size_t i = b0; i < e0; ++i) pa->grad[i] += self.grad[i];
-        });
-      }
-      if (pb->requires_grad) {
-        pb->ensure_grad();
-        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-          for (std::size_t i = b0; i < e0; ++i) pb->grad[i] += self.grad[i];
-        });
-      }
-    };
-  }
-  return Tensor(node);
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check(a.shape() == b.shape(), "sub: shape mismatch");
-  auto node = make_result(a.shape(), {a.node(), b.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = a.data()[i] - b.data()[i];
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    Node* pb = b.node().get();
-    node->backward = [pa, pb, n](Node& self) {
-      if (pa->requires_grad) {
-        pa->ensure_grad();
-        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-          for (std::size_t i = b0; i < e0; ++i) pa->grad[i] += self.grad[i];
-        });
-      }
-      if (pb->requires_grad) {
-        pb->ensure_grad();
-        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-          for (std::size_t i = b0; i < e0; ++i) pb->grad[i] -= self.grad[i];
-        });
-      }
-    };
-  }
-  return Tensor(node);
+  return pointwise(
+      a, b, "add", [](float x, float o) { return x + o; },
+      [](float& dx, float dy, float, float) { dx += dy; });
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  check(a.shape() == b.shape(), "mul: shape mismatch");
-  auto node = make_result(a.shape(), {a.node(), b.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = a.data()[i] * b.data()[i];
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    Node* pb = b.node().get();
-    node->backward = [pa, pb, n](Node& self) {
-      if (pa->requires_grad) {
-        pa->ensure_grad();
-        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-          for (std::size_t i = b0; i < e0; ++i) pa->grad[i] += self.grad[i] * pb->value[i];
-        });
-      }
-      if (pb->requires_grad) {
-        pb->ensure_grad();
-        parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-          for (std::size_t i = b0; i < e0; ++i) pb->grad[i] += self.grad[i] * pa->value[i];
-        });
-      }
-    };
-  }
-  return Tensor(node);
+  return pointwise(
+      a, b, "mul", [](float x, float o) { return x * o; },
+      [](float& dx, float dy, float, float o) { dx += dy * o; });
 }
 
 Tensor scale(const Tensor& a, float c) {
-  auto node = make_result(a.shape(), {a.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = a.data()[i] * c;
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, c, n](Node& self) {
-      pa->ensure_grad();
-      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-        for (std::size_t i = b0; i < e0; ++i) pa->grad[i] += self.grad[i] * c;
-      });
-    };
-  }
-  return Tensor(node);
+  return pointwise(
+      a, [c](float x) { return x * c; }, [c](float& dx, float dy, float, float) { dx += dy * c; });
 }
-
-Tensor add_scalar(const Tensor& a, float c) {
-  auto node = make_result(a.shape(), {a.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = a.data()[i] + c;
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, n](Node& self) {
-      pa->ensure_grad();
-      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-        for (std::size_t i = b0; i < e0; ++i) pa->grad[i] += self.grad[i];
-      });
-    };
-  }
-  return Tensor(node);
-}
-
-Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
 
 Tensor add_n(const std::vector<Tensor>& xs) {
   check(!xs.empty(), "add_n: empty input");
@@ -376,101 +379,43 @@ Tensor add_n(const std::vector<Tensor>& xs) {
 // ---- activations ----
 
 Tensor relu(const Tensor& a) {
-  auto node = make_result(a.shape(), {a.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) {
-      node->value[i] = a.data()[i] > 0.0f ? a.data()[i] : 0.0f;
-    }
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, n](Node& self) {
-      pa->ensure_grad();
-      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-        for (std::size_t i = b0; i < e0; ++i) {
-          if (pa->value[i] > 0.0f) pa->grad[i] += self.grad[i];
-        }
+  return pointwise(
+      a, [](float x) { return x > 0.0f ? x : 0.0f; },
+      [](float& dx, float dy, float x, float) {
+        if (x > 0.0f) dx += dy;
       });
-    };
-  }
-  return Tensor(node);
 }
 
 Tensor gelu(const Tensor& a) {
   // tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))
   constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
   constexpr float kA = 0.044715f;
-  auto node = make_result(a.shape(), {a.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) {
-      const float x = a.data()[i];
-      const float t = std::tanh(kC * (x + kA * x * x * x));
-      node->value[i] = 0.5f * x * (1.0f + t);
-    }
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, n](Node& self) {
-      pa->ensure_grad();
-      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-        for (std::size_t i = b0; i < e0; ++i) {
-          const float x = pa->value[i];
-          const float inner = kC * (x + kA * x * x * x);
-          const float t = std::tanh(inner);
-          const float dinner = kC * (1.0f + 3.0f * kA * x * x);
-          const float d = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-          pa->grad[i] += self.grad[i] * d;
-        }
+  return pointwise(
+      a,
+      [](float x) {
+        const float t = std::tanh(kC * (x + kA * x * x * x));
+        return 0.5f * x * (1.0f + t);
+      },
+      [](float& dx, float dy, float x, float) {
+        const float inner = kC * (x + kA * x * x * x);
+        const float t = std::tanh(inner);
+        const float dinner = kC * (1.0f + 3.0f * kA * x * x);
+        const float d = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+        dx += dy * d;
       });
-    };
-  }
-  return Tensor(node);
 }
 
+// tanh and sigmoid differentiate from their output y.
 Tensor tanh_t(const Tensor& a) {
-  auto node = make_result(a.shape(), {a.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) node->value[i] = std::tanh(a.data()[i]);
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, n](Node& self) {
-      pa->ensure_grad();
-      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-        for (std::size_t i = b0; i < e0; ++i) {
-          const float y = self.value[i];
-          pa->grad[i] += self.grad[i] * (1.0f - y * y);
-        }
-      });
-    };
-  }
-  return Tensor(node);
+  return pointwise(
+      a, [](float x) { return std::tanh(x); },
+      [](float& dx, float dy, float, float y) { dx += dy * (1.0f - y * y); });
 }
 
 Tensor sigmoid_t(const Tensor& a) {
-  auto node = make_result(a.shape(), {a.node()});
-  const auto n = static_cast<std::size_t>(node->numel());
-  parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-    for (std::size_t i = b0; i < e0; ++i) {
-      node->value[i] = 1.0f / (1.0f + std::exp(-a.data()[i]));
-    }
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, n](Node& self) {
-      pa->ensure_grad();
-      parallel_elems(n, [&](std::size_t b0, std::size_t e0) {
-        for (std::size_t i = b0; i < e0; ++i) {
-          const float y = self.value[i];
-          pa->grad[i] += self.grad[i] * y * (1.0f - y);
-        }
-      });
-    };
-  }
-  return Tensor(node);
+  return pointwise(
+      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
+      [](float& dx, float dy, float, float y) { dx += dy * y * (1.0f - y); });
 }
 
 // ---- linear algebra ----
@@ -668,114 +613,55 @@ Tensor mean_over_rows(const Tensor& a) {
 
 namespace {
 
-void softmax_row(const float* in, float* out, std::int64_t n) {
-  float mx = in[0];
-  for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
-  float sum = 0.0f;
-  for (std::int64_t j = 0; j < n; ++j) {
-    out[j] = std::exp(in[j] - mx);
-    sum += out[j];
+// Row kernels for `rowwise`. The causal and full softmax share SoftmaxRow;
+// cross_entropy_rows reuses its forward.
+struct SoftmaxRow {
+  static void forward(const float* in, float* out, std::int64_t n) {
+    float mx = in[0];
+    for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
+    float sum = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) {
+      out[j] = std::exp(in[j] - mx);
+      sum += out[j];
+    }
+    const float inv = 1.0f / sum;
+    for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
   }
-  const float inv = 1.0f / sum;
-  for (std::int64_t j = 0; j < n; ++j) out[j] *= inv;
-}
+  static void backward(const float* y, const float* dy, float* dx, std::int64_t n) {
+    float dot = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) dot += y[j] * dy[j];
+    for (std::int64_t j = 0; j < n; ++j) dx[j] += y[j] * (dy[j] - dot);
+  }
+};
+
+// x - (mx + log sum exp(x - mx)), not log(softmax(x)): no log of an
+// underflowed probability.
+struct LogSoftmaxRow {
+  static void forward(const float* in, float* out, std::int64_t n) {
+    float mx = in[0];
+    for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
+    float sum = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) sum += std::exp(in[j] - mx);
+    const float lse = mx + std::log(sum);
+    for (std::int64_t j = 0; j < n; ++j) out[j] = in[j] - lse;
+  }
+  static void backward(const float* y, const float* dy, float* dx, std::int64_t n) {
+    float sum_dy = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) sum_dy += dy[j];
+    for (std::int64_t j = 0; j < n; ++j) dx[j] += dy[j] - std::exp(y[j]) * sum_dy;
+  }
+};
 
 }  // namespace
 
-Tensor softmax_rows(const Tensor& a) {
-  check(a.rank() == 2, "softmax_rows: rank-2 tensor required");
-  const auto m = a.dim(0), n = a.dim(1);
-  auto node = make_result({m, n}, {a.node()});
-  core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t i = r0; i < r1; ++i) {
-      softmax_row(a.data().data() + i * n, node->value.data() + i * n, n);
-    }
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, m, n](Node& self) {
-      pa->ensure_grad();
-      core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t i = r0; i < r1; ++i) {
-          const float* y = self.value.data() + i * n;
-          const float* dy = self.grad.data() + i * n;
-          float dot = 0.0f;
-          for (std::int64_t j = 0; j < n; ++j) dot += y[j] * dy[j];
-          for (std::int64_t j = 0; j < n; ++j) pa->grad[i * n + j] += y[j] * (dy[j] - dot);
-        }
-      });
-    };
-  }
-  return Tensor(node);
-}
+Tensor softmax_rows(const Tensor& a) { return rowwise<SoftmaxRow>(a, "softmax_rows", false); }
 
 Tensor log_softmax_rows(const Tensor& a) {
-  check(a.rank() == 2, "log_softmax_rows: rank-2 tensor required");
-  const auto m = a.dim(0), n = a.dim(1);
-  auto node = make_result({m, n}, {a.node()});
-  core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t i = r0; i < r1; ++i) {
-      const float* in = a.data().data() + i * n;
-      float* out = node->value.data() + i * n;
-      float mx = in[0];
-      for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, in[j]);
-      float sum = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) sum += std::exp(in[j] - mx);
-      const float lse = mx + std::log(sum);
-      for (std::int64_t j = 0; j < n; ++j) out[j] = in[j] - lse;
-    }
-  });
-  if (node->requires_grad) {
-    Node* pa = a.node().get();
-    node->backward = [pa, m, n](Node& self) {
-      pa->ensure_grad();
-      core::parallel_for(m, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t i = r0; i < r1; ++i) {
-          const float* y = self.value.data() + i * n;  // log-probs
-          const float* dy = self.grad.data() + i * n;
-          float sum_dy = 0.0f;
-          for (std::int64_t j = 0; j < n; ++j) sum_dy += dy[j];
-          for (std::int64_t j = 0; j < n; ++j) {
-            pa->grad[i * n + j] += dy[j] - std::exp(y[j]) * sum_dy;
-          }
-        }
-      });
-    };
-  }
-  return Tensor(node);
+  return rowwise<LogSoftmaxRow>(a, "log_softmax_rows", false);
 }
 
 Tensor causal_masked_softmax(const Tensor& scores) {
-  check(scores.rank() == 2, "causal_masked_softmax: rank-2 tensor required");
-  const auto t = scores.dim(0);
-  check(scores.dim(1) == t, "causal_masked_softmax: square matrix required");
-  auto node = make_result({t, t}, {scores.node()});
-  core::parallel_for(t, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t i = r0; i < r1; ++i) {
-      const float* in = scores.data().data() + i * t;
-      float* out = node->value.data() + i * t;
-      softmax_row(in, out, i + 1);  // only columns [0, i]
-      for (std::int64_t j = i + 1; j < t; ++j) out[j] = 0.0f;
-    }
-  });
-  if (node->requires_grad) {
-    Node* pa = scores.node().get();
-    node->backward = [pa, t](Node& self) {
-      pa->ensure_grad();
-      core::parallel_for(t, kSoftmaxRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-        for (std::int64_t i = r0; i < r1; ++i) {
-          const float* y = self.value.data() + i * t;
-          const float* dy = self.grad.data() + i * t;
-          float dot = 0.0f;
-          for (std::int64_t j = 0; j <= i; ++j) dot += y[j] * dy[j];
-          for (std::int64_t j = 0; j <= i; ++j) {
-            pa->grad[i * t + j] += y[j] * (dy[j] - dot);
-          }
-        }
-      });
-    };
-  }
-  return Tensor(node);
+  return rowwise<SoftmaxRow>(scores, "causal_masked_softmax", true);
 }
 
 Tensor layer_norm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta, float eps) {
@@ -952,10 +838,14 @@ Tensor sum_all(const Tensor& a) {
   return Tensor(node);
 }
 
-Tensor mean_all(const Tensor& a) { return scale(sum_all(a), 1.0f / static_cast<float>(a.numel())); }
+Tensor mean_all(const Tensor& a) {
+  check(a.numel() > 0, "mean_all: empty tensor");
+  return scale(sum_all(a), 1.0f / static_cast<float>(a.numel()));
+}
 
 Tensor mse_loss(const Tensor& pred, const Tensor& target) {
   check(pred.shape() == target.shape(), "mse_loss: shape mismatch");
+  check(pred.numel() > 0, "mse_loss: empty tensor");
   auto node = make_result({1}, {pred.node()});
   const auto n = static_cast<std::size_t>(pred.numel());
   auto diff = std::make_shared<std::vector<float>>(n);
@@ -992,7 +882,7 @@ Tensor cross_entropy_rows(const Tensor& logits, std::span<const int> targets) {
   auto probs = std::make_shared<std::vector<float>>(static_cast<std::size_t>(m * n));
   float loss = 0.0f;
   for (std::int64_t i = 0; i < m; ++i) {
-    softmax_row(logits.data().data() + i * n, probs->data() + i * n, n);
+    SoftmaxRow::forward(logits.data().data() + i * n, probs->data() + i * n, n);
     const int t = (*tcopy)[static_cast<std::size_t>(i)];
     if (t < 0) continue;
     loss -= std::log(std::max((*probs)[static_cast<std::size_t>(i * n + t)], 1e-12f));
@@ -1023,6 +913,7 @@ Tensor nll_weighted(const Tensor& log_probs, std::span<const int> targets,
   const auto m = log_probs.dim(0), n = log_probs.dim(1);
   check(static_cast<std::int64_t>(targets.size()) == m, "nll_weighted: target count");
   check(weights.size() == targets.size(), "nll_weighted: weight count");
+  check(m > 0, "nll_weighted: empty batch");
   auto tcopy = std::make_shared<std::vector<int>>(targets.begin(), targets.end());
   auto wcopy = std::make_shared<std::vector<float>>(weights.begin(), weights.end());
   for (int t : *tcopy) check(t >= 0 && t < n, "nll_weighted: target out of range");

@@ -126,12 +126,11 @@ void buffer_clear_rows(Tensor& buf);
 std::int64_t buffer_capacity_rows(const Tensor& buf);
 
 // ---- elementwise & arithmetic ----
+// add/mul/scale and the four activations below are the pointwise ops: each
+// is one forward + one derivative over tensor.cpp's one pointwise scaffold.
 Tensor add(const Tensor& a, const Tensor& b);            // same shape
-Tensor sub(const Tensor& a, const Tensor& b);            // same shape
 Tensor mul(const Tensor& a, const Tensor& b);            // same shape
 Tensor scale(const Tensor& a, float c);
-Tensor add_scalar(const Tensor& a, float c);
-Tensor neg(const Tensor& a);
 /// Sum of n same-shaped tensors (shallow graph for GNN child aggregation).
 Tensor add_n(const std::vector<Tensor>& xs);
 
@@ -154,6 +153,8 @@ Tensor slice_cols(const Tensor& a, std::int64_t start, std::int64_t len);
 Tensor mean_over_rows(const Tensor& a);                    // [m,n] -> [1,n]
 
 // ---- row-wise normalisations ----
+// The three softmax ops share tensor.cpp's one row scaffold; all throw
+// std::invalid_argument on zero-width rows ([m, 0] with m > 0).
 Tensor softmax_rows(const Tensor& a);
 Tensor log_softmax_rows(const Tensor& a);
 /// Softmax over each row i restricted to columns [0, i]; columns > i get 0.
@@ -172,6 +173,8 @@ Tensor embedding(const Tensor& weight, std::span<const int> ids);
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, int pad);
 
 // ---- reductions & losses ----
+// The means throw std::invalid_argument on zero elements (rows, for
+// nll_weighted) instead of returning 0/0 = NaN.
 Tensor sum_all(const Tensor& a);
 Tensor mean_all(const Tensor& a);
 /// Mean squared error; `target` is treated as constant.

